@@ -15,10 +15,8 @@ from typing import Optional, Sequence
 from . import daemon, mining, syslearn
 from .engine import Engine
 from .errors import EngineError
-from .id3 import id3_build, id3_rules
 from .model import (
     Dataset,
-    Rule,
     Schema,
     Thresholds,
     TrainingRow,
@@ -95,50 +93,17 @@ def load_data_file(path: Path) -> Dataset:
     return dataset
 
 
-def _rule_line(rule: Rule) -> str:
-    return f"{rule.antecedent!r} => {rule.consequent!r} {rule.support!r} {rule.confidence!r}"
-
-
-def mine_rules(
-    dataset: Dataset, thresholds: Thresholds, algorithm: str
-) -> tuple[list[Rule], mining.MiningStats]:
-    """Run one miner over a dataset and return threshold-passing rules plus stats."""
-    if not len(dataset):
-        raise EngineError("empty-training-data", "the training data set is empty")
-    stats = mining.MiningStats()
-    if algorithm == "apriori":
-        frequent = mining.apriori(dataset, thresholds.min_support, stats)
-        rules = mining.derive_rules(
-            frequent, dataset.schema, thresholds.min_confidence, stats, source="apriori"
-        )
-    elif algorithm == "maxminer":
-        maximal = mining.max_miner(dataset, thresholds.min_support, stats)
-        frequent = mining.expand_maximal(maximal, dataset, thresholds.min_support)
-        rules = mining.derive_rules(
-            frequent, dataset.schema, thresholds.min_confidence, stats, source="maxminer"
-        )
-    else:
-        rules = set()
-        for target in dataset.schema.output_names:
-            tree = id3_build(dataset, dataset.schema, target)
-            rules |= id3_rules(tree, dataset, thresholds, target, stats)
-    ordered = sorted(rules, key=lambda r: (-r.confidence, -r.support, r.identity))
-    return ordered, stats
-
-
 def cmd_mine(args) -> int:
     try:
         dataset = load_data_file(Path(args.data))
-        rules, stats = mine_rules(
-            dataset, Thresholds(args.minsup, args.minconf), args.algo
-        )
+        rules, stats = mining.mine(dataset, Thresholds(args.minsup, args.minconf), args.algo)
     except EngineError as exc:
         return _fail(exc)
     except ValueError as exc:
         print(f"error [bad-thresholds]: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    for rule in rules:
-        print(_rule_line(rule))
+    for rule in sorted(rules, key=lambda r: (-r.confidence, -r.support, r.identity)):
+        print(f"{rule.antecedent!r} => {rule.consequent!r} {rule.support!r} {rule.confidence!r}")
     if args.stats:
         print(f"stats candidates_generated={stats.candidates_generated}")
         print(f"stats support_counting_passes={stats.support_counting_passes}")
@@ -232,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--minsup", type=float, required=True)
     p.add_argument("--minconf", type=float, required=True)
-    p.add_argument("--algo", choices=("apriori", "maxminer", "id3"), default="apriori")
+    p.add_argument("--algo", choices=mining.ALGORITHMS, default="apriori")
     p.add_argument("--stats", action="store_true")
     p.set_defaults(func=cmd_mine)
 
@@ -241,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", required=True)
     p.add_argument("--minsup", type=float, required=True)
     p.add_argument("--minconf", type=float, required=True)
-    p.add_argument("--algo", choices=("apriori", "maxminer", "id3"), default="apriori")
+    p.add_argument("--algo", choices=mining.ALGORITHMS, default="apriori")
     p.add_argument("--every", type=int, default=1, help="regenerate every N learned rows")
     p.set_defaults(func=cmd_replay)
 

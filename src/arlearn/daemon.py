@@ -14,27 +14,12 @@ import socketserver
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
-from .engine import Engine, MigrationReport
+from .engine import ALGORITHMS, Engine, MigrationReport
 from .errors import EngineError
 from .model import Thresholds, TrainingRow, parse_attribute_literal
 from .store import Store, open_store
 
 logger = logging.getLogger(__name__)
-
-VERBS = (
-    "register_app",
-    "set_input_output",
-    "load_training_data",
-    "set_training_data_row",
-    "generate_rules",
-    "set_generation_mode",
-    "get_current_output",
-    "send_feedback_last_gco",
-    "delete_training_data",
-    "delete_training_data_row",
-    "change_inputs_outputs",
-    "ping",
-)
 
 
 def _param(params: Mapping, name: str, kind: type, optional: bool = False):
@@ -70,7 +55,7 @@ def _thresholds_params(params: Mapping) -> tuple[Thresholds, str]:
     except (KeyError, ValueError, TypeError) as exc:
         raise EngineError("malformed-params", f"bad thresholds: {exc}") from exc
     algorithm = params.get("algorithm", "apriori")
-    if algorithm not in ("apriori", "maxminer", "id3"):
+    if algorithm not in ALGORITHMS:
         raise EngineError("malformed-params", f"unknown algorithm {algorithm!r}")
     return thresholds, algorithm
 
@@ -214,6 +199,7 @@ _HANDLERS: dict[str, Callable] = {
     "change_inputs_outputs": _h_change_inputs_outputs,
     "ping": _h_ping,
 }
+VERBS = tuple(_HANDLERS)
 
 _KEYLESS = {"register_app", "ping"}
 

@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from . import id3 as id3mod
 from . import mining
 from .errors import EngineError
 from .model import (
@@ -31,7 +30,7 @@ from .model import (
     validate_row,
 )
 
-ALGORITHMS = ("apriori", "maxminer", "id3")
+ALGORITHMS = mining.ALGORITHMS
 MODES = ("automated", "manual")
 
 
@@ -319,29 +318,9 @@ class Engine:
             return list(ctx.rules)
 
     def _regenerate(self, ctx: AppContext, config: Optional[GenerationConfig] = None) -> None:
-        dataset = self._dataset(ctx)
         config = config if config is not None else ctx.config
         assert config is not None
-        if not len(dataset):
-            raise EngineError("empty-training-data", "the training data set is empty")
-        thresholds, algorithm = config.thresholds, config.algorithm
-        stats = mining.MiningStats()
-        if algorithm == "apriori":
-            frequent = mining.apriori(dataset, thresholds.min_support, stats)
-            rules = mining.derive_rules(
-                frequent, ctx.schema, thresholds.min_confidence, stats, source="apriori"
-            )
-        elif algorithm == "maxminer":
-            maximal = mining.max_miner(dataset, thresholds.min_support, stats)
-            frequent = mining.expand_maximal(maximal, dataset, thresholds.min_support)
-            rules = mining.derive_rules(
-                frequent, ctx.schema, thresholds.min_confidence, stats, source="maxminer"
-            )
-        else:
-            rules = set()
-            for target in ctx.schema.output_names:
-                tree = id3mod.id3_build(dataset, ctx.schema, target)
-                rules |= id3mod.id3_rules(tree, dataset, thresholds, target, stats)
+        rules, _ = mining.mine(self._dataset(ctx), config.thresholds, config.algorithm)
         ctx.config = config
         ctx.rules = sorted(rules, key=_match_order)
         ctx.rules_generated = True

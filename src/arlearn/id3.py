@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import EngineError
-from .mining import MiningStats, meets_threshold, threshold_fraction
+from .mining import MiningStats, _Tidsets, meets_threshold
 from .model import INPUT, OUTPUT, Dataset, Item, ItemSet, Rule, Schema, Thresholds, TrainingRow
 
 
@@ -170,38 +169,33 @@ def id3_rules(
     """Turn root-to-leaf paths into rules scored against the data.
 
     The antecedent is the path's value conditions and the consequent the
-    leaf class; support and confidence are recomputed from the dataset and
-    rules below either threshold are dropped. Paths with an empty
+    leaf class; support and confidence are counted on the dataset's
+    tidsets, the path's rows narrowed one branch at a time, and rules
+    below either threshold are dropped. Paths with an empty
     antecedent or passing through a null branch are skipped.
     """
     target_name = _resolve_target(data.schema, target)
-    txns = [(row.itemset().as_frozenset(), row.weight) for row in data.rows]
-    total = sum(w for _, w in txns)
+    vertical = _Tidsets(data)
     rules: set[Rule] = set()
 
-    def count(items: frozenset[Item]) -> int:
-        return sum(w for t, w in txns if items <= t)
-
-    def walk(node: DecisionNode, path: tuple[Item, ...]) -> None:
+    def walk(node: DecisionNode, path: tuple[Item, ...], rows: int) -> None:
         if isinstance(node, Leaf):
             if not path:
                 return
-            antecedent = ItemSet(path)
             consequent = ItemSet((Item(target_name, node.klass),))
-            rule_count = count(antecedent.union(consequent).as_frozenset())
+            rule_count = vertical.count(rows & vertical.tidset(consequent))
             if rule_count == 0:
                 return
-            ant_count = count(antecedent.as_frozenset())
-            confidence = Fraction(rule_count, ant_count)
-            if meets_threshold(rule_count, total, thresholds.min_support) and confidence >= threshold_fraction(
-                thresholds.min_confidence
+            ant_count = vertical.count(rows)
+            if meets_threshold(rule_count, vertical.total, thresholds.min_support) and meets_threshold(
+                rule_count, ant_count, thresholds.min_confidence
             ):
                 rules.add(
                     Rule(
-                        antecedent=antecedent,
+                        antecedent=ItemSet(path),
                         consequent=consequent,
-                        support=rule_count / total,
-                        confidence=float(confidence),
+                        support=rule_count / vertical.total,
+                        confidence=rule_count / ant_count,
                         source="id3",
                     )
                 )
@@ -209,10 +203,11 @@ def id3_rules(
                     stats.rules_emitted += 1
             return
         for value, child in node.children:
-            walk(child, path + (Item(node.attribute, value),))
+            item = Item(node.attribute, value)
+            walk(child, path + (item,), rows & vertical.tidset((item,)))
         # null branch: "attribute is null" has no itemset form, so no rules
 
-    walk(tree, ())
+    walk(tree, (), vertical.all_rows)
     return rules
 
 

@@ -1,11 +1,15 @@
 """Frequent-itemset mining and association-rule derivation.
 
-Two miners share one contract: ``apriori`` returns every frequent itemset,
-``max_miner`` returns only the maximal ones (``expand_maximal`` recovers the
-full family with exact supports). ``brute_force_frequent`` is a deliberately
-naive enumeration kept as an independent test oracle. Supports are exact
-integer ratios; threshold comparisons are exact (``Fraction``-based, ``>=``,
-no epsilon) so results are reproducible bit for bit.
+``mine(dataset, thresholds, algorithm)`` is the one entry point for
+``ALGORITHMS``. ``apriori`` returns every frequent itemset, ``max_miner``
+only the maximal ones (``expand_maximal`` recovers the full family).
+Every support count goes through one vertical layout (Zaki's tidsets): an
+item's rows are a Python-int bitmask, an itemset's rows the AND of its
+items', and with one row mask per weight class a weighted count is
+``Σ w·(rows & class).bit_count()``. ``brute_force_frequent`` is a naive
+enumeration kept apart from it as a test oracle. A threshold ``p/q`` (its
+shortest decimal, exactly) is met when ``count·q >= p·total``, with no
+epsilon, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -13,17 +17,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from typing import Iterable, Optional, Union
+from functools import lru_cache
+from itertools import combinations, groupby
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import EngineError
-from .model import Dataset, Item, ItemSet, Rule, Schema
+from .model import Dataset, Item, ItemSet, Rule, Schema, Thresholds
 
+ALGORITHMS = ("apriori", "maxminer", "id3")
 MAX_ORACLE_ITEMS = 20
 
-# (itemset, weight) pairs; the weight defaults to 1 when a bare item
-# collection is supplied.
-Transaction = tuple[frozenset[Item], int]
+# A dataset, or raw transactions: bare item collections (weight 1) or
+# (items, weight) pairs.
 TransactionSource = Union[Dataset, Iterable]
 
 
@@ -50,62 +55,98 @@ class CandidateNode:
     """A set-enumeration node: committed head plus ordered candidate extensions.
 
     The tail is disjoint from the head and ordered by ascending support of
-    head∪{item} (re-sorted at every expansion).
+    head∪{item} (re-sorted at every expansion). ``max_miner`` fills both
+    with interned item ids.
     """
 
-    head: frozenset[Item]
+    head: frozenset
     head_count: int
-    tail: tuple[Item, ...]
+    tail: tuple
 
     def __post_init__(self):
         if self.head & frozenset(self.tail):
             raise ValueError("candidate tail overlaps the committed head")
 
 
-def threshold_fraction(threshold: float) -> Fraction:
-    """Exact rational meaning of a threshold.
+@lru_cache(maxsize=64)
+def threshold_ratio(threshold: float) -> tuple[int, int]:
+    """Exact rational meaning ``(p, q)`` of a threshold ``p/q``.
 
     Goes through the shortest decimal representation so that a threshold
     written ``0.4`` means 2/5 rather than the nearest binary float.
     """
-    return Fraction(str(threshold))
+    exact = Fraction(str(threshold))
+    return exact.numerator, exact.denominator
 
 
 def meets_threshold(count: int, total: int, threshold: float) -> bool:
-    """Exact ``count/total >= threshold`` with no floating-point slack."""
-    return Fraction(count, total) >= threshold_fraction(threshold)
+    """Exact ``count/total >= threshold`` as ``count·q >= p·total``."""
+    p, q = threshold_ratio(threshold)
+    return count * q >= p * total
 
 
-def _as_transactions(data: TransactionSource) -> tuple[list[Transaction], int]:
-    """Normalize a dataset or raw weighted transactions to (itemset, weight) pairs."""
-    txns: list[Transaction] = []
+def _transactions(data: TransactionSource) -> Iterator[tuple[list[tuple[str, str]], int]]:
+    """Each transaction as its ``(attribute, value)`` pairs and its weight."""
     if isinstance(data, Dataset):
         for row in data.rows:
-            txns.append((row.itemset().as_frozenset(), row.weight))
-    else:
-        for entry in data:
-            if (
-                isinstance(entry, tuple)
-                and len(entry) == 2
-                and isinstance(entry[1], int)
-                and not isinstance(entry[1], bool)
-            ):
-                items, weight = entry
-            else:
-                items, weight = entry, 1
-            if isinstance(items, ItemSet):
-                itemset = items.as_frozenset()
-            else:
-                itemset = ItemSet(items).as_frozenset()
-            if weight < 1:
-                raise ValueError("transaction weight must be positive")
-            txns.append((itemset, weight))
-    total = sum(w for _, w in txns)
-    return txns, total
+            yield [*row.inputs.items(), *row.outputs.items()], row.weight
+        return
+    for entry in data:
+        weighted = isinstance(entry, tuple) and len(entry) == 2 and type(entry[1]) is int
+        items, weight = entry if weighted else (entry, 1)
+        if weight < 1:
+            raise ValueError("transaction weight must be positive")
+        yield [(i.attribute, i.value) for i in ItemSet(items)], weight
 
 
-def _freeze(items: frozenset[Item], count: int, total: int) -> FrequentItemSet:
-    return FrequentItemSet(ItemSet(items), count, count / total)
+class _Tidsets:
+    """A dataset in vertical layout; every miner counts support here.
+
+    Row ``r`` is bit ``r``. ``items[i]`` is the item with id ``i`` and
+    ``rows[i]`` its tidset. ``classes`` holds one ``(weight, row mask)``
+    pair per distinct row weight.
+    """
+
+    def __init__(self, data: TransactionSource):
+        tidsets: dict[tuple[str, str], int] = {}
+        classes: dict[int, int] = {}
+        bit = 1
+        for pairs, weight in _transactions(data):
+            for pair in pairs:
+                tidsets[pair] = tidsets.get(pair, 0) | bit
+            classes[weight] = classes.get(weight, 0) | bit
+            bit <<= 1
+        order = sorted(tidsets)
+        self.items = [Item(*pair) for pair in order]
+        self.ids = {item: i for i, item in enumerate(self.items)}
+        self.rows = [tidsets[pair] for pair in order]
+        self.classes = sorted(classes.items())
+        self.all_rows = bit - 1
+        self.total = self.count(self.all_rows)
+
+    def count(self, rows: int) -> int:
+        """Weighted support of a set of rows."""
+        return sum(w * (rows & members).bit_count() for w, members in self.classes)
+
+    def tidset(self, items: Iterable[Item]) -> int:
+        """The rows holding every one of ``items``; none if one never occurs."""
+        rows = self.all_rows
+        for item in items:
+            i = self.ids.get(item)
+            if i is None:
+                return 0
+            rows &= self.rows[i]
+        return rows
+
+    def freeze(self, items: Iterable[Item], count: int) -> FrequentItemSet:
+        return FrequentItemSet(ItemSet(items), count, count / self.total)
+
+
+def _vertical(data: Union[TransactionSource, _Tidsets], empty_ok: bool = True) -> _Tidsets:
+    vertical = data if isinstance(data, _Tidsets) else _Tidsets(data)
+    if not (empty_ok or vertical.total):
+        raise EngineError("empty-dataset", "cannot mine an empty dataset")
+    return vertical
 
 
 def support_count(target: ItemSet, data: TransactionSource) -> int:
@@ -116,9 +157,8 @@ def support_count(target: ItemSet, data: TransactionSource) -> int:
                 raise EngineError(
                     "unknown-attribute", f"{item.attribute!r} is not in the dataset schema"
                 )
-    txns, _ = _as_transactions(data)
-    wanted = target.as_frozenset()
-    return sum(w for t, w in txns if wanted <= t)
+    vertical = _vertical(data)
+    return vertical.count(vertical.tidset(target))
 
 
 def apriori(
@@ -128,59 +168,46 @@ def apriori(
 
     Starts from single items and joins frequent (k-1)-sets that share a
     prefix; a candidate is counted only if every (k-1)-subset is frequent.
-    Returns every itemset whose support meets ``min_support``, with exact
-    counts.
+    Each frequent set keeps its tidset, so a candidate's rows are its
+    prefix's rows ANDed with one item's. Returns every itemset whose
+    support meets ``min_support``, with exact counts.
     """
-    txns, total = _as_transactions(data)
-    if total == 0:
-        raise EngineError("empty-dataset", "cannot mine an empty dataset")
+    v = _vertical(data, empty_ok=False)
     stats = stats if stats is not None else MiningStats()
-
-    singles: Counter = Counter()
-    for t, w in txns:
-        for item in t:
-            singles[item] += w
-    stats.candidates_generated += len(singles)
+    stats.candidates_generated += len(v.items)
     stats.support_counting_passes += 1
 
-    result: dict[frozenset[Item], int] = {}
-    current: list[tuple[Item, ...]] = []
-    for item, count in singles.items():
-        if meets_threshold(count, total, min_support):
-            result[frozenset((item,))] = count
-            current.append((item,))
-    current.sort()
+    result: dict[tuple[int, ...], int] = {}
+    level: dict[tuple[int, ...], int] = {}  # frequent k-set -> its tidset
+    for i, rows in enumerate(v.rows):
+        count = v.count(rows)
+        if meets_threshold(count, v.total, min_support):
+            result[(i,)] = count
+            level[(i,)] = rows
 
-    while current:
-        previous = set(current)
-        candidates: list[tuple[Item, ...]] = []
-        for _, group in groupby(current, key=lambda t: t[:-1]):
-            members = list(group)
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    left, right = members[i], members[j]
-                    if left[-1].attribute == right[-1].attribute:
-                        continue  # one value per attribute
-                    cand = left + (right[-1],)
-                    if all(
-                        cand[:k] + cand[k + 1 :] in previous for k in range(len(cand) - 1)
-                    ):
-                        candidates.append(cand)
+    while level:
+        candidates: list[tuple[int, ...]] = []
+        for _, group in groupby(sorted(level), key=lambda t: t[:-1]):
+            for left, right in combinations(group, 2):
+                if v.items[left[-1]].attribute == v.items[right[-1]].attribute:
+                    continue  # one value per attribute
+                cand = left + (right[-1],)
+                if all(cand[:k] + cand[k + 1 :] in level for k in range(len(cand) - 1)):
+                    candidates.append(cand)
         if not candidates:
             break
         stats.candidates_generated += len(candidates)
         stats.support_counting_passes += 1
-        next_level: list[tuple[Item, ...]] = []
+        next_level: dict[tuple[int, ...], int] = {}
         for cand in candidates:
-            cand_set = frozenset(cand)
-            count = sum(w for t, w in txns if cand_set <= t)
-            if meets_threshold(count, total, min_support):
-                result[cand_set] = count
-                next_level.append(cand)
-        next_level.sort()
-        current = next_level
+            rows = level[cand[:-1]] & v.rows[cand[-1]]
+            count = v.count(rows)
+            if meets_threshold(count, v.total, min_support):
+                result[cand] = count
+                next_level[cand] = rows
+        level = next_level
 
-    return {_freeze(items, count, total) for items, count in result.items()}
+    return {v.freeze((v.items[i] for i in ids), count) for ids, count in result.items()}
 
 
 def max_miner(
@@ -194,33 +221,21 @@ def max_miner(
     are reordered by ascending support before expanding. A final filter
     removes any candidate subsumed by a set found in another subtree.
     """
-    txns, total = _as_transactions(data)
-    if total == 0:
-        raise EngineError("empty-dataset", "cannot mine an empty dataset")
+    v = _vertical(data, empty_ok=False)
     stats = stats if stats is not None else MiningStats()
-
-    singles: Counter = Counter()
-    for t, w in txns:
-        for item in t:
-            singles[item] += w
-    stats.candidates_generated += len(singles)
+    stats.candidates_generated += len(v.items)
     stats.support_counting_passes += 1
 
-    frequent_singles = sorted(
-        ((item, count) for item, count in singles.items() if meets_threshold(count, total, min_support)),
-        key=lambda pair: (pair[1], pair[0]),
-    )
+    singles = ((v.count(rows), i) for i, rows in enumerate(v.rows))
+    frequent_singles = sorted(s for s in singles if meets_threshold(s[0], v.total, min_support))
 
-    found: dict[frozenset[Item], int] = {}
+    found: dict[frozenset[int], int] = {}
 
-    def count_set(items: frozenset[Item]) -> int:
-        return sum(w for t, w in txns if items <= t)
-
-    def record(items: frozenset[Item], count: int) -> None:
+    def record(items: frozenset[int], count: int) -> None:
         if items and items not in found:
             found[items] = count
 
-    def expand(node: CandidateNode) -> None:
+    def expand(node: CandidateNode, head_rows: int) -> None:
         if not node.tail:
             record(node.head, node.head_count)
             return
@@ -229,40 +244,41 @@ def max_miner(
             return  # subtree subsumed by an already-found maximal set
         stats.candidates_generated += 1
         stats.support_counting_passes += 1
-        hut_count = count_set(hut)
-        if meets_threshold(hut_count, total, min_support):
+        hut_rows = head_rows
+        for item in node.tail:
+            hut_rows &= v.rows[item]
+        hut_count = v.count(hut_rows)
+        if meets_threshold(hut_count, v.total, min_support):
             record(hut, hut_count)
             return  # everything below is a subset of hut
-        extensions: list[tuple[Item, int]] = []
+        extensions: list[tuple[int, int, int]] = []
         for item in node.tail:
             stats.candidates_generated += 1
-            count = count_set(node.head | {item})
-            if meets_threshold(count, total, min_support):
-                extensions.append((item, count))
+            rows = head_rows & v.rows[item]
+            count = v.count(rows)
+            if meets_threshold(count, v.total, min_support):
+                extensions.append((count, item, rows))
         if not extensions:
             record(node.head, node.head_count)
             return
-        extensions.sort(key=lambda pair: (pair[1], pair[0]))  # dynamic reordering
-        for idx, (item, count) in enumerate(extensions):
+        extensions.sort()  # dynamic reordering by (support, item)
+        for idx, (count, item, rows) in enumerate(extensions):
             expand(
-                CandidateNode(
-                    node.head | {item}, count, tuple(e[0] for e in extensions[idx + 1 :])
-                )
+                CandidateNode(node.head | {item}, count, tuple(e[1] for e in extensions[idx + 1 :])),
+                rows,
             )
 
-    for idx, (item, count) in enumerate(frequent_singles):
+    for idx, (count, item) in enumerate(frequent_singles):
         expand(
-            CandidateNode(
-                frozenset((item,)), count, tuple(p[0] for p in frequent_singles[idx + 1 :])
-            )
+            CandidateNode(frozenset((item,)), count, tuple(p[1] for p in frequent_singles[idx + 1 :])),
+            v.rows[item],
         )
 
-    maximal = {
-        items: count
+    return {
+        v.freeze((v.items[i] for i in items), count)
         for items, count in found.items()
         if not any(items < other for other in found)
     }
-    return {_freeze(items, count, total) for items, count in maximal.items()}
 
 
 def expand_maximal(
@@ -271,47 +287,56 @@ def expand_maximal(
     """Recover the full frequent family (with exact supports) from maximal sets.
 
     Enumerates every nonempty subset of each maximal set, deduplicates, and
-    recounts supports against the data; the result equals ``apriori`` on the
-    same inputs.
+    counts each subset once, its tidset built from a one-item-smaller
+    subset's; the result equals ``apriori`` on the same inputs.
     """
-    txns, total = _as_transactions(data)
-    subsets: set[frozenset[Item]] = set()
+    v = _vertical(data)
+    universe = sorted({item for fis in maximal for item in fis.items})
+    bit_of = {item: 1 << i for i, item in enumerate(universe)}
+    counts: dict[int, int] = {}  # subset as a mask over ``universe`` -> count
     for fis in maximal:
-        items = tuple(fis.items)
-        n = len(items)
-        for mask in range(1, 1 << n):
-            subsets.add(frozenset(items[i] for i in range(n) if mask & (1 << i)))
-    family: set[FrequentItemSet] = set()
-    for subset in subsets:
-        count = sum(w for t, w in txns if subset <= t)
-        if meets_threshold(count, total, min_support):
-            family.add(_freeze(subset, count, total))
-    return family
+        tidsets = [v.tidset((item,)) for item in fis.items]
+        bits = [bit_of[item] for item in fis.items]
+        rows = [v.all_rows] + [0] * ((1 << len(bits)) - 1)
+        keys = [0] * len(rows)
+        for mask in range(1, len(rows)):
+            low = mask & -mask
+            j = low.bit_length() - 1
+            rows[mask] = rows[mask ^ low] & tidsets[j]
+            keys[mask] = key = keys[mask ^ low] | bits[j]
+            if key not in counts:
+                counts[key] = v.count(rows[mask])
+    return {
+        v.freeze((item for i, item in enumerate(universe) if key >> i & 1), count)
+        for key, count in counts.items()
+        if meets_threshold(count, v.total, min_support)
+    }
 
 
 def brute_force_frequent(data: TransactionSource, min_support: float) -> set[FrequentItemSet]:
     """Exhaustive oracle: count every itemset realized by some transaction.
 
-    Independent of the miners — per transaction it enumerates all nonempty
-    sub-itemsets via bitmask submask iteration and tallies weights, then
-    filters by support. Guarded to at most ``MAX_ORACLE_ITEMS`` distinct
-    items.
+    Independent of the miners and of their vertical layout — per
+    transaction it enumerates all nonempty sub-itemsets via bitmask submask
+    iteration and tallies weights, then filters by support. Guarded to at
+    most ``MAX_ORACLE_ITEMS`` distinct items.
     """
-    txns, total = _as_transactions(data)
+    txns = list(_transactions(data))
+    total = sum(w for _, w in txns)
     if total == 0:
         return set()
-    universe = sorted({item for t, _ in txns for item in t})
+    universe = sorted({pair for t, _ in txns for pair in t})
     if len(universe) > MAX_ORACLE_ITEMS:
         raise EngineError(
             "too-many-items",
             f"{len(universe)} distinct items exceeds the oracle bound of {MAX_ORACLE_ITEMS}",
         )
-    bit_of = {item: 1 << i for i, item in enumerate(universe)}
+    bit_of = {pair: 1 << i for i, pair in enumerate(universe)}
     counts: Counter = Counter()
     for t, w in txns:
         mask = 0
-        for item in t:
-            mask |= bit_of[item]
+        for pair in t:
+            mask |= bit_of[pair]
         sub = mask
         while sub:
             counts[sub] += w
@@ -319,8 +344,8 @@ def brute_force_frequent(data: TransactionSource, min_support: float) -> set[Fre
     family: set[FrequentItemSet] = set()
     for mask, count in counts.items():
         if meets_threshold(count, total, min_support):
-            items = frozenset(universe[i] for i in range(len(universe)) if mask & (1 << i))
-            family.add(_freeze(items, count, total))
+            items = ItemSet(Item(*universe[i]) for i in range(len(universe)) if mask & (1 << i))
+            family.add(FrequentItemSet(items, count, count / total))
     return family
 
 
@@ -352,20 +377,48 @@ def derive_rules(
         antecedent = ItemSet(ant_items)
         ant_fis = index.get(antecedent)
         if ant_fis is None:
-            raise ValueError(
-                f"frequent family is not downward closed: missing {antecedent!r}"
-            )
-        confidence = Fraction(fis.support_count, ant_fis.support_count)
-        if confidence >= threshold_fraction(min_confidence):
+            raise ValueError(f"frequent family is not downward closed: missing {antecedent!r}")
+        if meets_threshold(fis.support_count, ant_fis.support_count, min_confidence):
             rules.add(
                 Rule(
                     antecedent=antecedent,
                     consequent=ItemSet(cons_items),
                     support=fis.support,
-                    confidence=float(confidence),
+                    confidence=fis.support_count / ant_fis.support_count,
                     source=source,
                 )
             )
             if stats is not None:
                 stats.rules_emitted += 1
     return rules
+
+
+def mine(
+    dataset: Dataset, thresholds: Thresholds, algorithm: str
+) -> tuple[set[Rule], MiningStats]:
+    """Run one of ``ALGORITHMS`` over a dataset: threshold-passing rules plus stats.
+
+    The vertical layout is built once; ``maxminer`` shares it between
+    ``max_miner`` and ``expand_maximal``. Rules come back unordered, and
+    each caller sorts them its own way.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+    if not len(dataset):
+        raise EngineError("empty-training-data", "the training data set is empty")
+    stats = MiningStats()
+    if algorithm == "id3":
+        from .id3 import id3_build, id3_rules  # id3 imports this module
+
+        rules: set[Rule] = set()
+        for target in dataset.schema.output_names:
+            tree = id3_build(dataset, dataset.schema, target)
+            rules |= id3_rules(tree, dataset, thresholds, target, stats)
+        return rules, stats
+    vertical = _Tidsets(dataset)
+    if algorithm == "apriori":
+        frequent = apriori(vertical, thresholds.min_support, stats)
+    else:
+        maximal = max_miner(vertical, thresholds.min_support, stats)
+        frequent = expand_maximal(maximal, vertical, thresholds.min_support)
+    return derive_rules(frequent, dataset.schema, thresholds.min_confidence, stats, algorithm), stats

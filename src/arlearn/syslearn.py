@@ -443,7 +443,8 @@ def _raw_for_label(binning: SignalBinning, label: str, rng: random.Random) -> ob
     if binning.kind == INTERVALS:
         for lo, hi, name in binning.bins:
             if name == label:
-                return round(rng.uniform(lo, hi), 3)
+                value = round(rng.uniform(lo, hi), 3)
+                return value if lo <= value < hi else lo  # rounding can reach hi
         raise ValueError(f"no bin labeled {label!r}")
     index = binning.labels().index(label)
     start = index * binning.width_minutes

@@ -38,12 +38,12 @@ def random_schema(rng: random.Random) -> Schema:
     return Schema(attrs)
 
 
-def random_dataset(rng: random.Random, max_rows: int = 200) -> Dataset:
+def random_dataset(rng: random.Random, max_rows: int = 200, min_rows: int = 1) -> Dataset:
     schema = random_schema(rng)
     inputs = [schema.attribute(n) for n in schema.input_names]
     outputs = [schema.attribute(n) for n in schema.output_names]
     rows = []
-    for _ in range(rng.randint(1, max_rows)):
+    for _ in range(rng.randint(min_rows, max_rows)):
         bound = {
             a.name: rng.choice(a.domain) for a in inputs if rng.random() < 0.85
         }

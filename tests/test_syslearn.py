@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from arlearn.engine import Engine
@@ -9,6 +11,7 @@ from arlearn.syslearn import (
     ReplayPolicy,
     SignalBinning,
     TraceEvent,
+    _raw_for_label,
     generate_trace,
     parse_trace,
     register_system_app,
@@ -337,3 +340,65 @@ class TestGenerateTrace:
         condition = ItemSet([Item("headphones", "yes"), Item("hour", "08")])
         assert occurrences > 0
         assert frequencies[condition.encode()] == pytest.approx(hits / occurrences, abs=1e-12)
+
+
+BATTERY_SPEC = {
+    "signals": [
+        {
+            "signal": "battery",
+            "attribute": "battery",
+            "kind": "intervals",
+            "bins": [[0, 20, "low"], [20, 60, "mid"], [60, 101, "high"]],
+        },
+        {"signal": "headphones", "attribute": "headphones", "kind": "categorical", "domain": ["yes", "no"]},
+    ],
+    "action": {"name": "app_launched", "background": "none"},
+    "patterns": [{"when": {"battery": "low"}, "value": "music", "probability": 0.5}],
+    "churn": 0.5,
+    "action_rate": 0.6,
+}
+
+
+class TestIntervalDraws:
+    """A drawn ``intervals`` value must bin back to the label it was drawn for.
+
+    Bins are closed-open, and a draw rounded to three decimals can land on
+    the bin's upper edge: in the next bin, or outside every bin after the
+    last one.
+    """
+
+    def test_every_draw_bins_back_to_its_label(self):
+        # bins narrower than the rounding step make edge draws common
+        binning = SignalBinning("level", "level", "intervals", bins=((0, 0.0015, "low"), (0.0015, 0.003, "high")))
+        rng = random.Random(5)
+        for _ in range(300):
+            for label in binning.labels():
+                assert binning.bin_value(_raw_for_label(binning, label, rng)) == label
+
+    def test_draw_rounding_onto_the_upper_edge(self):
+        class EdgeRng:
+            @staticmethod
+            def uniform(lo, hi):
+                return hi - 1e-4  # rounds to hi
+
+        binning = SignalBinning("battery", "battery", "intervals", bins=((0, 60, "low"), (60, 101, "high")))
+        for label in ("low", "high"):
+            assert binning.bin_value(_raw_for_label(binning, label, EdgeRng())) == label
+
+    def test_generated_trace_recounts_to_its_sidecar(self, tmp_path):
+        # seed 216 draws a "low" battery value that rounds to 20.0, the
+        # lower edge of "mid"
+        out = tmp_path / "battery.trace"
+        frequencies = generate_trace(BATTERY_SPEC, seed=216, length=600, out=out)
+        binning = SignalBinning("battery", "battery", "intervals", bins=((0, 20, "low"), (20, 60, "mid"), (60, 101, "high")))
+        battery = None
+        occurrences = hits = 0
+        for event in parse_trace(out):
+            if event.kind == "sensor":
+                if event.name == "battery":
+                    battery = binning.bin_value(event.value)
+            elif battery == "low":
+                occurrences += 1
+                hits += event.value == "music"
+        assert occurrences > 0
+        assert frequencies[ItemSet([Item("battery", "low")]).encode()] == pytest.approx(hits / occurrences, abs=1e-12)
