@@ -3,7 +3,25 @@
 One connection may multiplex many applications: every request names its
 key. Responses echo the request's correlation id; per-connection response
 order matches request order. Mutations are persisted before the response
-is written.
+is written, under the context's lock, so disk order matches memory order.
+Each verb writes only what it changed:
+
+- ``get_current_output``: one ``gco`` journal record;
+- ``send_feedback_last_gco``: one ``feedback`` journal record;
+- ``set_training_data_row`` and ``load_training_data``: one ``rows.log``
+  append for the whole batch, plus the snapshot when automated mode
+  remined;
+- ``register_app``, ``set_input_output``, ``generate_rules`` and
+  ``set_generation_mode``: the meta and rules snapshot;
+- ``delete_training_data`` and ``delete_training_data_row``: the rows
+  and quarantine logs rewritten;
+- ``change_inputs_outputs``: the snapshot, then the rows and quarantine
+  logs.
+
+If a journal record cannot be written, the request fails with
+``io-error`` and the context's prior ``last_gco`` and rules are put back.
+A request line longer than ``MAX_LINE`` bytes is answered with
+``malformed-request`` and the rest of it is dropped.
 """
 
 from __future__ import annotations
@@ -14,12 +32,14 @@ import socketserver
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
-from .engine import ALGORITHMS, Engine, MigrationReport
+from .engine import ALGORITHMS, AppContext, Engine, MigrationReport
 from .errors import EngineError
 from .model import Thresholds, TrainingRow, parse_attribute_literal
 from .store import Store, open_store
 
 logger = logging.getLogger(__name__)
+
+MAX_LINE = 1 << 20  # bytes in one request line, newline excluded
 
 
 def _param(params: Mapping, name: str, kind: type, optional: bool = False):
@@ -72,49 +92,59 @@ def _string_map(params: Mapping, name: str, allow_null: bool = False) -> dict:
     return obj
 
 
-def _persist(store: Optional[Store], engine: Engine, key: str) -> None:
+def _persist(store: Optional[Store], ctx: AppContext) -> None:
     if store is not None:
-        store.persist_context(engine.context(key))
+        store.persist_context(ctx)
 
 
 def _h_register_app(engine, store, key, params):
     name = _param(params, "name", str)
     new_key = engine.register_app(name)
-    _persist(store, engine, new_key)
+    _persist(store, engine.context(new_key))
     return {"key": new_key}
 
 
 def _h_set_input_output(engine, store, key, params):
     inputs, outputs = _schema_params(params)
-    engine.set_input_output(key, inputs, outputs)
-    _persist(store, engine, key)
+    ctx = engine.context(key)
+    with ctx.lock:
+        engine.set_input_output(key, inputs, outputs)
+        _persist(store, ctx)
     return "ok"
+
+
+def _add_rows(engine, store, key, rows, insert):
+    """Insert through the engine, append the rows, and snapshot only if it remined."""
+    ctx = engine.context(key)
+    with ctx.lock:
+        epoch = ctx.generation_epoch
+        result = insert()
+        if store is not None:
+            store.append_rows(key, rows)
+            if ctx.generation_epoch != epoch:
+                store.persist_context(ctx)
+    return result
 
 
 def _h_load_training_data(engine, store, key, params):
     rows_obj = _param(params, "rows", list)
     rows = [_row_param(r) for r in rows_obj]
-    accepted = engine.load_training_data(key, rows)
-    if store is not None:
-        for row in rows:
-            store.append_row(key, row)
-        _persist(store, engine, key)
+    accepted = _add_rows(engine, store, key, rows, lambda: engine.load_training_data(key, rows))
     return {"accepted": accepted}
 
 
 def _h_set_training_data_row(engine, store, key, params):
     row = _row_param(_param(params, "row", dict))
-    engine.set_training_data_row(key, row)
-    if store is not None:
-        store.append_row(key, row)
-        _persist(store, engine, key)
+    _add_rows(engine, store, key, [row], lambda: engine.set_training_data_row(key, row))
     return "ok"
 
 
 def _h_generate_rules(engine, store, key, params):
     thresholds, algorithm = _thresholds_params(params)
-    rules = engine.generate_rules(key, thresholds, algorithm)
-    _persist(store, engine, key)
+    ctx = engine.context(key)
+    with ctx.lock:
+        rules = engine.generate_rules(key, thresholds, algorithm)
+        _persist(store, ctx)
     return {"rules": [r.to_dict() for r in rules]}
 
 
@@ -122,15 +152,25 @@ def _h_set_generation_mode(engine, store, key, params):
     mode = _param(params, "mode", str)
     if mode not in ("automated", "manual"):
         raise EngineError("malformed-params", f"unknown mode {mode!r}")
-    engine.set_generation_mode(key, mode)
-    _persist(store, engine, key)
+    ctx = engine.context(key)
+    with ctx.lock:
+        engine.set_generation_mode(key, mode)
+        _persist(store, ctx)
     return "ok"
 
 
 def _h_get_current_output(engine, store, key, params):
     inputs = _string_map(params, "inputs")
-    result = engine.get_current_output(key, inputs)
-    _persist(store, engine, key)
+    ctx = engine.context(key)
+    with ctx.lock:
+        prior = ctx.last_gco
+        result = engine.get_current_output(key, inputs)
+        if store is not None:
+            try:
+                store.record_gco(ctx)
+            except EngineError:
+                ctx.last_gco = prior
+                raise
     if result is None:
         return {"output": None}
     return {
@@ -145,16 +185,27 @@ def _h_send_feedback_last_gco(engine, store, key, params):
     verdict = _param(params, "verdict", str)
     if verdict not in ("positive", "negative"):
         raise EngineError("malformed-params", f"unknown verdict {verdict!r}")
-    confidence = engine.send_feedback_last_gco(key, verdict)
-    _persist(store, engine, key)
+    ctx = engine.context(key)
+    with ctx.lock:
+        prior_gco, prior_rules = ctx.last_gco, list(ctx.rules)
+        confidence = engine.send_feedback_last_gco(key, verdict)
+        if store is not None:
+            # feedback replaces exactly one rule object
+            rule = next(new for old, new in zip(prior_rules, ctx.rules) if new is not old)
+            try:
+                store.record_feedback(ctx, rule)
+            except EngineError:
+                ctx.last_gco, ctx.rules = prior_gco, prior_rules
+                raise
     return {"confidence": confidence}
 
 
 def _h_delete_training_data(engine, store, key, params):
-    engine.delete_training_data(key)
-    if store is not None:
-        store.compact(key)
-        _persist(store, engine, key)
+    ctx = engine.context(key)
+    with ctx.lock:
+        engine.delete_training_data(key)
+        if store is not None:
+            store.compact(key)
     return "ok"
 
 
@@ -163,18 +214,22 @@ def _h_delete_training_data_row(engine, store, key, params):
     mode = params.get("mode", "first")
     if mode not in ("first", "all"):
         raise EngineError("malformed-params", f"unknown delete mode {mode!r}")
-    deleted = engine.delete_training_data_row(key, match, mode)
-    if store is not None:
-        store.compact(key)
+    ctx = engine.context(key)
+    with ctx.lock:
+        deleted = engine.delete_training_data_row(key, match, mode)
+        if store is not None:
+            store.compact(key)
     return {"deleted": deleted}
 
 
 def _h_change_inputs_outputs(engine, store, key, params):
     inputs, outputs = _schema_params(params)
-    report: MigrationReport = engine.change_inputs_outputs(key, inputs, outputs)
-    if store is not None:
-        _persist(store, engine, key)
-        store.compact(key)
+    ctx = engine.context(key)
+    with ctx.lock:
+        report: MigrationReport = engine.change_inputs_outputs(key, inputs, outputs)
+        if store is not None:
+            store.persist_context(ctx)
+            store.compact(key)
     return {
         "dropped_columns": report.dropped_columns,
         "quarantined_rows": report.quarantined_rows,
@@ -234,24 +289,29 @@ def dispatch(request: object, engine: Engine, store: Optional[Store] = None) -> 
         }
 
 
+def _error(code: str, message: str) -> dict:
+    return {"id": None, "ok": False, "error": {"code": code, "message": message}}
+
+
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         engine = self.server.engine  # type: ignore[attr-defined]
         store = self.server.store  # type: ignore[attr-defined]
-        for raw in self.rfile:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                request = json.loads(line)
-            except json.JSONDecodeError as exc:
-                response = {
-                    "id": None,
-                    "ok": False,
-                    "error": {"code": "malformed-request", "message": str(exc)},
-                }
+        while raw := self.rfile.readline(MAX_LINE + 1):
+            if len(raw) > MAX_LINE and not raw.endswith(b"\n"):
+                response = _error("malformed-request", f"request line longer than {MAX_LINE} bytes")
+                while (rest := self.rfile.readline(MAX_LINE + 1)) and not rest.endswith(b"\n"):
+                    pass  # drop the rest of the over-long line
             else:
-                response = dispatch(request, engine, store)
+                line = raw.decode("utf-8", errors="replace").strip()
+                if not line:
+                    continue
+                try:
+                    request = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    response = _error("malformed-request", str(exc))
+                else:
+                    response = dispatch(request, engine, store)
             self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
             self.wfile.flush()
 

@@ -1,21 +1,44 @@
 """Durable persistence: one directory per application key.
 
-Layout per key: ``meta.json`` (single JSON object), ``rows.log`` and
-``quarantine.log`` (append-only JSON lines), ``rules.log`` (JSON-lines
-snapshot). Snapshots are replaced atomically via temp-file + rename;
-row appends are flushed and fsynced before returning. A torn trailing
-record in an append log is dropped with a warning on open.
+Layout per key:
+
+- ``meta.json`` (one JSON object) and ``rules.log`` (JSON lines) form the
+  snapshot. Each file is replaced atomically through its own temp file,
+  fsync and rename.
+- ``rows.log`` and ``quarantine.log`` are append-only JSON lines of rows.
+- ``journal.log`` is append-only JSON lines of the small changes made
+  since the snapshot. A ``gco`` record holds the new ``last_gco`` (null
+  when nothing matched). A ``feedback`` record holds one rule's identity
+  and its new absolute ``confidence`` and ``active``, and clears
+  ``last_gco``. Every record carries the ``generation_epoch`` it was
+  written under.
+
+An append writes its whole batch in one write and one fsync before it
+returns; if that fails, the file is cut back to where it was. Writing a
+snapshot empties the journal afterwards. That truncation needs no fsync
+of its own: on open, the journal is replayed over the snapshot, and only
+records whose epoch equals the snapshot's are applied. Records left by a
+crash between a snapshot and its truncation are therefore either from an
+older epoch, or already in the snapshot and, holding absolute values,
+harmless to apply again. A change that would make the journal larger
+than the snapshot (meta plus rules) is written as a new snapshot
+instead, so folding rewrites at most as many bytes as were appended.
+A torn trailing record in an append log is dropped with a warning on
+open and cut from the file, so later appends start on a clean line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
+import tempfile
+from dataclasses import replace
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Union
 
-from .engine import AppContext
+from .engine import AppContext, GcoRecord
 from .errors import EngineError
 from .model import Rule, TrainingRow, is_key
 
@@ -25,19 +48,54 @@ META_FILE = "meta.json"
 ROWS_FILE = "rows.log"
 RULES_FILE = "rules.log"
 QUARANTINE_FILE = "quarantine.log"
+JOURNAL_FILE = "journal.log"
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _append(path: Path, text: str) -> None:
+    """Append in one write and one fsync; on failure cut the file back."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        end = os.fstat(fd).st_size
+        try:
+            pending = memoryview(text.encode("utf-8"))
+            while pending:
+                pending = pending[os.write(fd, pending):]
+            os.fsync(fd)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.ftruncate(fd, end)
+            raise
+    finally:
+        os.close(fd)
+
+
+def _lines(objects: Iterable[dict]) -> str:
+    return "".join(json.dumps(obj) + "\n" for obj in objects)
+
+
+def _size(path: Path) -> int:
+    try:
+        return path.stat().st_size
+    except FileNotFoundError:
+        return 0
 
 
 def _read_log(path: Path, tolerate_torn_tail: bool) -> list[dict]:
-    """Parse a JSON-lines log; optionally drop a torn trailing record."""
+    """Parse a JSON-lines log; optionally drop (and cut away) a torn trailing record."""
     if not path.exists():
         return []
     raw = path.read_text(encoding="utf-8")
@@ -52,11 +110,37 @@ def _read_log(path: Path, tolerate_torn_tail: bool) -> list[dict]:
             is_last = all(not later.strip() for later in lines[number:])
             if tolerate_torn_tail and is_last:
                 logger.warning("dropping torn trailing record in %s (line %d)", path, number)
+                intact = "".join(kept + "\n" for kept in lines[: number - 1])
+                try:
+                    os.truncate(path, len(intact.encode("utf-8")))
+                except OSError as cut_exc:
+                    logger.warning("could not cut the torn record from %s: %s", path, cut_exc)
                 return records
             raise EngineError(
                 "corrupt-meta", f"{path}: malformed record at line {number}"
             ) from exc
     return records
+
+
+def _replay(ctx: AppContext, journal: list[dict]) -> None:
+    """Apply the journal's records of the snapshot's epoch, in order."""
+    index: dict[str, int] = {}
+    for record in journal:
+        if record["generation_epoch"] != ctx.generation_epoch:
+            continue
+        if record["op"] == "gco":
+            gco = record["last_gco"]
+            ctx.last_gco = GcoRecord.from_dict(gco) if gco is not None else None
+        elif record["op"] == "feedback":
+            if not index:
+                index = {rule.identity: i for i, rule in enumerate(ctx.rules)}
+            i = index[record["rule"]]
+            ctx.rules[i] = replace(
+                ctx.rules[i], confidence=record["confidence"], active=record["active"]
+            )
+            ctx.last_gco = None
+        else:
+            raise ValueError(f"unknown journal record {record['op']!r}")
 
 
 class Store:
@@ -65,6 +149,8 @@ class Store:
     def __init__(self, root: Path):
         self.root = root
         self._contexts: dict[str, AppContext] = {}
+        # bytes the journal may still take before a change is folded into a snapshot
+        self._journal_room: dict[str, int] = {}
 
     # -- loading -------------------------------------------------------
 
@@ -86,10 +172,16 @@ class Store:
             TrainingRow.from_dict(r) for r in _read_log(app_dir / QUARANTINE_FILE, True)
         ]
         rules = [Rule.from_dict(r) for r in _read_log(app_dir / RULES_FILE, False)]
+        journal = _read_log(app_dir / JOURNAL_FILE, True)
         try:
-            return AppContext.from_state(meta, rows, quarantine, rules)
+            ctx = AppContext.from_state(meta, rows, quarantine, rules)
+            _replay(ctx, journal)
         except (KeyError, ValueError, TypeError) as exc:
             raise EngineError("corrupt-meta", f"{meta_path}: {exc}") from exc
+        self._journal_room[ctx.key] = (
+            _size(meta_path) + _size(app_dir / RULES_FILE) - _size(app_dir / JOURNAL_FILE)
+        )
+        return ctx
 
     def contexts(self) -> dict[str, AppContext]:
         return dict(self._contexts)
@@ -100,29 +192,61 @@ class Store:
         return self.root / key
 
     def persist_context(self, ctx: AppContext) -> None:
-        """Write meta and the rules snapshot; the rows log is left untouched."""
+        """Write the meta and rules snapshot, then empty the journal; rows are left untouched."""
         app_dir = self._app_dir(ctx.key)
-        try:
-            app_dir.mkdir(parents=True, exist_ok=True)
-            _atomic_write(
-                app_dir / META_FILE, json.dumps(ctx.state_dict(), sort_keys=True) + "\n"
-            )
-            rules_text = "".join(json.dumps(r.to_dict()) + "\n" for r in ctx.rules)
-            _atomic_write(app_dir / RULES_FILE, rules_text)
-        except OSError as exc:
-            raise EngineError("io-error", f"persisting {ctx.key}: {exc}") from exc
-        self._contexts[ctx.key] = ctx
+        with ctx.lock:
+            meta_text = json.dumps(ctx.state_dict(), sort_keys=True) + "\n"
+            rules_text = _lines(r.to_dict() for r in ctx.rules)
+            try:
+                app_dir.mkdir(parents=True, exist_ok=True)
+                _atomic_write(app_dir / META_FILE, meta_text)
+                _atomic_write(app_dir / RULES_FILE, rules_text)
+                with contextlib.suppress(FileNotFoundError):
+                    os.truncate(app_dir / JOURNAL_FILE, 0)
+            except OSError as exc:
+                raise EngineError("io-error", f"persisting {ctx.key}: {exc}") from exc
+            self._journal_room[ctx.key] = len(meta_text) + len(rules_text)
+            self._contexts[ctx.key] = ctx
+
+    def record_gco(self, ctx: AppContext) -> None:
+        """Make ``ctx.last_gco`` durable."""
+        last = ctx.last_gco.to_dict() if ctx.last_gco is not None else None
+        self._record(ctx, {"op": "gco", "last_gco": last})
+
+    def record_feedback(self, ctx: AppContext, rule: Rule) -> None:
+        """Make one feedback-adjusted rule, and the cleared ``last_gco``, durable."""
+        self._record(
+            ctx,
+            {"op": "feedback", "rule": rule.identity, "confidence": rule.confidence, "active": rule.active},
+        )
+
+    def _record(self, ctx: AppContext, record: dict) -> None:
+        with ctx.lock:
+            line = json.dumps({"generation_epoch": ctx.generation_epoch, **record}) + "\n"
+            room = self._journal_room.get(ctx.key, 0)
+            if len(line) > room:
+                self.persist_context(ctx)
+                return
+            try:
+                _append(self._app_dir(ctx.key) / JOURNAL_FILE, line)
+            except OSError as exc:
+                raise EngineError("io-error", f"journaling {ctx.key}: {exc}") from exc
+            self._journal_room[ctx.key] = room - len(line)
 
     def append_row(self, key: str, row: TrainingRow) -> None:
         """Append one record to the rows log, flushed and fsynced before return."""
+        self.append_rows(key, [row])
+
+    def append_rows(self, key: str, rows: Iterable[TrainingRow]) -> None:
+        """Append rows to the rows log in one write and one fsync."""
         app_dir = self._app_dir(key)
         if key not in self._contexts or not app_dir.is_dir():
             raise EngineError("unknown-key", f"no persisted application under {key!r}")
+        text = _lines(r.to_dict() for r in rows)
+        if not text:
+            return
         try:
-            with open(app_dir / ROWS_FILE, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(row.to_dict()) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+            _append(app_dir / ROWS_FILE, text)
         except OSError as exc:
             raise EngineError("io-error", f"appending to {key}: {exc}") from exc
 
@@ -131,18 +255,16 @@ class Store:
         ctx = self._contexts.get(key)
         if ctx is None:
             raise EngineError("unknown-key", f"no persisted application under {key!r}")
-        rows = ctx.dataset.rows if ctx.dataset is not None else ()
-        try:
-            _atomic_write(
-                self._app_dir(key) / ROWS_FILE,
-                "".join(json.dumps(r.to_dict()) + "\n" for r in rows),
-            )
-            _atomic_write(
-                self._app_dir(key) / QUARANTINE_FILE,
-                "".join(json.dumps(r.to_dict()) + "\n" for r in ctx.quarantine),
-            )
-        except OSError as exc:
-            raise EngineError("io-error", f"compacting {key}: {exc}") from exc
+        with ctx.lock:
+            rows = ctx.dataset.rows if ctx.dataset is not None else ()
+            try:
+                _atomic_write(self._app_dir(key) / ROWS_FILE, _lines(r.to_dict() for r in rows))
+                _atomic_write(
+                    self._app_dir(key) / QUARANTINE_FILE,
+                    _lines(r.to_dict() for r in ctx.quarantine),
+                )
+            except OSError as exc:
+                raise EngineError("io-error", f"compacting {key}: {exc}") from exc
 
 
 def open_store(root: Union[str, Path]) -> Store:

@@ -243,13 +243,7 @@ def snapshot_to_row(
     state: Mapping[str, object], action: Item, binning: BinningConfig
 ) -> TrainingRow:
     """Bin the current sensor state into a training row labeled with one action."""
-    inputs: dict[str, str] = {}
-    for signal, raw in state.items():
-        rule = binning.signal(signal)
-        if rule is None:
-            continue  # undeclared signals carry no schema attribute
-        inputs[rule.attribute] = rule.bin_value(raw)
-    return TrainingRow(inputs, {action.attribute: action.value})
+    return TrainingRow(bin_state(state, binning), {action.attribute: action.value})
 
 
 def bin_state(state: Mapping[str, object], binning: BinningConfig) -> dict[str, str]:
