@@ -190,10 +190,8 @@ def _h_send_feedback_last_gco(engine, store, key, params):
         prior_gco, prior_rules = ctx.last_gco, list(ctx.rules)
         confidence = engine.send_feedback_last_gco(key, verdict)
         if store is not None:
-            # feedback replaces exactly one rule object
-            rule = next(new for old, new in zip(prior_rules, ctx.rules) if new is not old)
             try:
-                store.record_feedback(ctx, rule)
+                store.record_feedback(ctx, prior_gco.rule_id)
             except EngineError:
                 ctx.last_gco, ctx.rules = prior_gco, prior_rules
                 raise

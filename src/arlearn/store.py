@@ -17,14 +17,19 @@ An append writes its whole batch in one write and one fsync before it
 returns; if that fails, the file is cut back to where it was. Writing a
 snapshot empties the journal afterwards. That truncation needs no fsync
 of its own: on open, the journal is replayed over the snapshot, and only
-records whose epoch equals the snapshot's are applied. Records left by a
-crash between a snapshot and its truncation are therefore either from an
-older epoch, or already in the snapshot and, holding absolute values,
-harmless to apply again. A change that would make the journal larger
-than the snapshot (meta plus rules) is written as a new snapshot
-instead, so folding rewrites at most as many bytes as were appended.
+records whose epoch equals the snapshot's are applied. Every change to
+``last_gco`` or to a rule that leaves the epoch as it is goes into the
+journal before any snapshot holds it, so the journal holds every such
+change the snapshot has. Records left by a crash between a snapshot and
+its truncation are therefore either from an older epoch, or, holding
+absolute values, replay to the snapshot's own state. Once the journal is
+larger than the snapshot (meta plus rules), the record just appended is
+folded into a new snapshot, so folding rewrites at most about as many
+bytes as were appended.
 A torn trailing record in an append log is dropped with a warning on
-open and cut from the file, so later appends start on a clean line.
+open. Opening writes nothing; the torn record is cut from the file just
+before the store's first append to it, so later appends start on a clean
+line.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .engine import AppContext, GcoRecord
 from .errors import EngineError
@@ -94,8 +99,13 @@ def _size(path: Path) -> int:
         return 0
 
 
-def _read_log(path: Path, tolerate_torn_tail: bool) -> list[dict]:
-    """Parse a JSON-lines log; optionally drop (and cut away) a torn trailing record."""
+def _read_log(path: Path, torn_tails: Optional[dict[Path, int]] = None) -> list[dict]:
+    """Parse a JSON-lines log.
+
+    With ``torn_tails``, a torn trailing record is dropped and the byte
+    length of the intact records is noted under ``path``; the file is
+    left as it is.
+    """
     if not path.exists():
         return []
     raw = path.read_text(encoding="utf-8")
@@ -108,13 +118,10 @@ def _read_log(path: Path, tolerate_torn_tail: bool) -> list[dict]:
             records.append(json.loads(line))
         except json.JSONDecodeError as exc:
             is_last = all(not later.strip() for later in lines[number:])
-            if tolerate_torn_tail and is_last:
+            if torn_tails is not None and is_last:
                 logger.warning("dropping torn trailing record in %s (line %d)", path, number)
                 intact = "".join(kept + "\n" for kept in lines[: number - 1])
-                try:
-                    os.truncate(path, len(intact.encode("utf-8")))
-                except OSError as cut_exc:
-                    logger.warning("could not cut the torn record from %s: %s", path, cut_exc)
+                torn_tails[path] = len(intact.encode("utf-8"))
                 return records
             raise EngineError(
                 "corrupt-meta", f"{path}: malformed record at line {number}"
@@ -151,6 +158,8 @@ class Store:
         self._contexts: dict[str, AppContext] = {}
         # bytes the journal may still take before a change is folded into a snapshot
         self._journal_room: dict[str, int] = {}
+        # intact length of each log found with a torn tail, cut before its next append
+        self._torn_tails: dict[Path, int] = {}
 
     # -- loading -------------------------------------------------------
 
@@ -167,12 +176,13 @@ class Store:
                 raise ValueError("meta does not describe this directory")
         except (OSError, ValueError) as exc:
             raise EngineError("corrupt-meta", f"{meta_path}: {exc}") from exc
-        rows = [TrainingRow.from_dict(r) for r in _read_log(app_dir / ROWS_FILE, True)]
+        torn = self._torn_tails
+        rows = [TrainingRow.from_dict(r) for r in _read_log(app_dir / ROWS_FILE, torn)]
         quarantine = [
-            TrainingRow.from_dict(r) for r in _read_log(app_dir / QUARANTINE_FILE, True)
+            TrainingRow.from_dict(r) for r in _read_log(app_dir / QUARANTINE_FILE, torn)
         ]
-        rules = [Rule.from_dict(r) for r in _read_log(app_dir / RULES_FILE, False)]
-        journal = _read_log(app_dir / JOURNAL_FILE, True)
+        rules = [Rule.from_dict(r) for r in _read_log(app_dir / RULES_FILE)]
+        journal = _read_log(app_dir / JOURNAL_FILE, torn)
         try:
             ctx = AppContext.from_state(meta, rows, quarantine, rules)
             _replay(ctx, journal)
@@ -203,6 +213,7 @@ class Store:
                 _atomic_write(app_dir / RULES_FILE, rules_text)
                 with contextlib.suppress(FileNotFoundError):
                     os.truncate(app_dir / JOURNAL_FILE, 0)
+                self._torn_tails.pop(app_dir / JOURNAL_FILE, None)
             except OSError as exc:
                 raise EngineError("io-error", f"persisting {ctx.key}: {exc}") from exc
             self._journal_room[ctx.key] = len(meta_text) + len(rules_text)
@@ -213,25 +224,38 @@ class Store:
         last = ctx.last_gco.to_dict() if ctx.last_gco is not None else None
         self._record(ctx, {"op": "gco", "last_gco": last})
 
-    def record_feedback(self, ctx: AppContext, rule: Rule) -> None:
-        """Make one feedback-adjusted rule, and the cleared ``last_gco``, durable."""
-        self._record(
-            ctx,
-            {"op": "feedback", "rule": rule.identity, "confidence": rule.confidence, "active": rule.active},
-        )
+    def record_feedback(self, ctx: AppContext, rule_id: str) -> None:
+        """Make the feedback-adjusted rule ``rule_id``, and the cleared ``last_gco``, durable."""
+        with ctx.lock:
+            rule = next(r for r in ctx.rules if r.identity == rule_id)
+            self._record(
+                ctx,
+                {"op": "feedback", "rule": rule_id, "confidence": rule.confidence, "active": rule.active},
+            )
 
     def _record(self, ctx: AppContext, record: dict) -> None:
         with ctx.lock:
             line = json.dumps({"generation_epoch": ctx.generation_epoch, **record}) + "\n"
-            room = self._journal_room.get(ctx.key, 0)
-            if len(line) > room:
-                self.persist_context(ctx)
-                return
             try:
-                _append(self._app_dir(ctx.key) / JOURNAL_FILE, line)
+                self._append_log(self._app_dir(ctx.key) / JOURNAL_FILE, line)
             except OSError as exc:
                 raise EngineError("io-error", f"journaling {ctx.key}: {exc}") from exc
-            self._journal_room[ctx.key] = room - len(line)
+            room = self._journal_room.get(ctx.key, 0) - len(line)
+            self._journal_room[ctx.key] = room
+            if room < 0:
+                # The record is durable already; a failed fold is retried on the next one.
+                try:
+                    self.persist_context(ctx)
+                except EngineError as exc:
+                    logger.warning("could not fold the journal of %s: %s", ctx.key, exc)
+
+    def _append_log(self, path: Path, text: str) -> None:
+        """Append to a log of this store, first cutting a torn tail found on open."""
+        intact = self._torn_tails.get(path)
+        if intact is not None:
+            os.truncate(path, intact)
+            del self._torn_tails[path]
+        _append(path, text)
 
     def append_row(self, key: str, row: TrainingRow) -> None:
         """Append one record to the rows log, flushed and fsynced before return."""
@@ -246,7 +270,7 @@ class Store:
         if not text:
             return
         try:
-            _append(app_dir / ROWS_FILE, text)
+            self._append_log(app_dir / ROWS_FILE, text)
         except OSError as exc:
             raise EngineError("io-error", f"appending to {key}: {exc}") from exc
 
@@ -258,11 +282,10 @@ class Store:
         with ctx.lock:
             rows = ctx.dataset.rows if ctx.dataset is not None else ()
             try:
-                _atomic_write(self._app_dir(key) / ROWS_FILE, _lines(r.to_dict() for r in rows))
-                _atomic_write(
-                    self._app_dir(key) / QUARANTINE_FILE,
-                    _lines(r.to_dict() for r in ctx.quarantine),
-                )
+                for name, kept in ((ROWS_FILE, rows), (QUARANTINE_FILE, ctx.quarantine)):
+                    path = self._app_dir(key) / name
+                    _atomic_write(path, _lines(r.to_dict() for r in kept))
+                    self._torn_tails.pop(path, None)
             except OSError as exc:
                 raise EngineError("io-error", f"compacting {key}: {exc}") from exc
 

@@ -12,6 +12,7 @@ import time
 import pytest
 
 import arlearn.store as store_module
+from arlearn.cli import main
 from arlearn.daemon import MAX_LINE, dispatch
 from arlearn.engine import Engine, context_fingerprint
 from arlearn.errors import EngineError
@@ -175,6 +176,22 @@ class TestReplay:
         ok(call(engine, store, "send_feedback_last_gco", key, verdict="positive"))
         assert reopened(tmp_path, key) == context_fingerprint(engine.context(key))
 
+    def test_opening_leaves_torn_logs_as_they_are(self, tmp_path, served):
+        # a reader such as inspect may run beside a daemon whose append is in flight
+        engine, store, key = served
+        ok(call(engine, store, "get_current_output", key, inputs=MATCHING))
+        torn = {
+            "rows.log": b'{"inputs": {"head',
+            "journal.log": b'{"generation_epoch": 1, "op": "fee',
+        }
+        for name, tail in torn.items():
+            path = tmp_path / key / name
+            path.write_bytes(path.read_bytes() + tail)
+        on_disk = {name: (tmp_path / key / name).read_bytes() for name in torn}
+        open_store(tmp_path)
+        assert main(["inspect", "--store", str(tmp_path), "--app", "MusicPlayer"]) == 0
+        assert {name: (tmp_path / key / name).read_bytes() for name in torn} == on_disk
+
     def test_rows_appended_after_a_torn_tail_survive(self, tmp_path, served):
         engine, store, key = served
         rows_log = tmp_path / key / "rows.log"
@@ -215,6 +232,55 @@ class TestFold:
             assert reopened(tmp_path, key) == context_fingerprint(engine.context(key))
         assert 0 in journal_sizes[1:]  # it was folded at least once
         assert max(journal_sizes) > 0
+
+
+    def test_a_lost_truncation_after_a_fold_replays_to_the_snapshot(self, tmp_path, served, monkeypatch):
+        # A crash after the fold's snapshot, before the journal was emptied,
+        # leaves older records of the same epoch on disk.
+        engine, store, key = served
+        journal = tmp_path / key / "journal.log"
+        unfolded = []
+        snapshot = store.persist_context
+
+        def persist(ctx):
+            unfolded.append(journal.read_bytes())
+            snapshot(ctx)
+
+        monkeypatch.setattr(store, "persist_context", persist)
+        for n in range(200):
+            ok(call(engine, store, "get_current_output", key, inputs=MATCHING))
+            if unfolded:
+                break
+            verdict = "negative" if n % 2 else "positive"
+            ok(call(engine, store, "send_feedback_last_gco", key, verdict=verdict))
+            if unfolded:
+                break
+        assert unfolded, "the journal was never folded"
+        assert journal.read_bytes() == b""
+        journal.write_bytes(unfolded[-1])
+        assert reopened(tmp_path, key) == context_fingerprint(engine.context(key))
+
+    def test_a_failed_fold_keeps_the_record(self, tmp_path, served, monkeypatch):
+        engine, store, key = served
+        app_dir = tmp_path / key
+        snapshot = (app_dir / "meta.json").stat().st_size + (app_dir / "rules.log").stat().st_size
+
+        def broken(path, text):
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "_atomic_write", broken)
+            for _ in range(200):
+                ok(call(engine, store, "get_current_output", key, inputs=MATCHING))
+                ok(call(engine, store, "send_feedback_last_gco", key, verdict="positive"))
+                if (app_dir / "journal.log").stat().st_size > snapshot:
+                    break
+        assert (app_dir / "journal.log").stat().st_size > snapshot
+        assert reopened(tmp_path, key) == context_fingerprint(engine.context(key))
+        # the next record folds
+        ok(call(engine, store, "get_current_output", key, inputs=MATCHING))
+        assert (app_dir / "journal.log").read_bytes() == b""
+        assert reopened(tmp_path, key) == context_fingerprint(engine.context(key))
 
 
 def fail_appends(monkeypatch):
