@@ -32,8 +32,9 @@ import socketserver
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
-from .engine import ALGORITHMS, AppContext, Engine, MigrationReport
+from .engine import AppContext, Engine, MigrationReport
 from .errors import EngineError
+from .mining import ALGORITHMS
 from .model import Thresholds, TrainingRow, parse_attribute_literal
 from .store import Store, open_store
 

@@ -4,6 +4,18 @@ Each registered application owns an isolated context: schema, training
 data, generated rules, generation mode, and the record of its last
 inference. Mutating requests serialize per context; different keys may
 proceed concurrently.
+
+``get_current_output`` answers with the active rule whose antecedent the
+query holds that comes first in ``_match_order``: highest confidence,
+then support, then longest antecedent, then identity. A generation of
+rules (one ``generation_epoch``) keeps every rule at its position in
+``ctx.rules``; feedback replaces a rule in place and never reorders the
+list. The first query of a generation scans every rule. Later queries
+use a bitmask index over rule positions (Zaki's vertical tidsets, applied
+to rules): per attribute, the rules leaving it unbound and, per value,
+the rules binding it to that value. Building the index costs several
+scans, so a generation queried once is never indexed. The index is
+dropped when the epoch moves.
 """
 
 from __future__ import annotations
@@ -30,7 +42,6 @@ from .model import (
     validate_row,
 )
 
-ALGORITHMS = mining.ALGORITHMS
 MODES = ("automated", "manual")
 
 
@@ -57,8 +68,8 @@ class GenerationConfig:
     algorithm: str
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+        if self.algorithm not in mining.ALGORITHMS:
+            raise ValueError(f"algorithm must be one of {mining.ALGORITHMS}")
 
     def to_dict(self) -> dict:
         return {
@@ -112,6 +123,67 @@ def _match_order(rule: Rule) -> tuple:
     return (-rule.confidence, -rule.support, -len(rule.antecedent), rule.identity)
 
 
+class _RuleIndex:
+    """Lookups by position in one generation's ``ctx.rules``.
+
+    Feedback, journal replay and the daemon's rollback replace a rule at
+    its position without changing its antecedent or identity, so what is
+    built here holds until ``epoch`` moves. It keeps positions and
+    identity strings, never a ``Rule``.
+    """
+
+    __slots__ = ("epoch", "queries", "unbound", "bound", "positions")
+
+    def __init__(self, epoch: int):
+        self.epoch = epoch
+        self.queries = 0
+        # the masks are built on the generation's second query
+        self.unbound: dict[str, int] = {}  # attribute -> rules leaving it unbound
+        self.bound: dict[str, dict[str, int]] = {}  # attribute -> value -> rules binding it
+        self.positions: Optional[dict[str, int]] = None  # identity -> position
+
+    def best_match(self, rules: Sequence[Rule], query: ItemSet) -> Optional[Rule]:
+        self.queries += 1
+        if self.queries == 1:
+            matches = (r for r in rules if r.active and r.antecedent.issubset(query))
+            return min(matches, key=_match_order, default=None)
+        if self.queries == 2:
+            self._build(rules)
+        values = query.as_mapping()
+        candidates = (1 << len(rules)) - 1
+        for attribute, by_value in self.bound.items():
+            candidates &= self.unbound[attribute] | by_value.get(values.get(attribute), 0)
+        best = best_key = None
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            rule = rules[low.bit_length() - 1]
+            # a rule of lower confidence cannot come first, so its key is not built
+            if rule.active and (best is None or rule.confidence >= best.confidence):
+                key = _match_order(rule)
+                if best is None or key < best_key:
+                    best, best_key = rule, key
+        return best
+
+    def _build(self, rules: Sequence[Rule]) -> None:
+        for position, rule in enumerate(rules):
+            bit = 1 << position
+            for item in rule.antecedent:
+                by_value = self.bound.setdefault(item.attribute, {})
+                by_value[item.value] = by_value.get(item.value, 0) | bit
+        everything = (1 << len(rules)) - 1
+        for attribute, by_value in self.bound.items():
+            binding = 0
+            for mask in by_value.values():
+                binding |= mask
+            self.unbound[attribute] = everything & ~binding
+
+    def position(self, rules: Sequence[Rule], rule_id: str) -> Optional[int]:
+        if self.positions is None:
+            self.positions = {rule.identity: i for i, rule in enumerate(rules)}
+        return self.positions.get(rule_id)
+
+
 class AppContext:
     """Everything the engine knows about one registered application."""
 
@@ -128,6 +200,7 @@ class AppContext:
         "last_gco",
         "generation_epoch",
         "lock",
+        "_index",
     )
 
     def __init__(self, key: str, name: str):
@@ -143,6 +216,27 @@ class AppContext:
         self.last_gco: Optional[GcoRecord] = None
         self.generation_epoch = 0
         self.lock = threading.RLock()
+        self._index: Optional[_RuleIndex] = None
+
+    def _rule_index(self) -> _RuleIndex:
+        index = self._index
+        if index is None or index.epoch != self.generation_epoch:
+            index = self._index = _RuleIndex(self.generation_epoch)
+        return index
+
+    def best_match(self, query: ItemSet) -> Optional[Rule]:
+        """The active rule whose antecedent ``query`` holds, first in ``_match_order``."""
+        return self._rule_index().best_match(self.rules, query)
+
+    def rule_position(self, rule_id: str) -> Optional[int]:
+        """The position in ``rules`` of the rule with identity ``rule_id``, if it is there."""
+        return self._rule_index().position(self.rules, rule_id)
+
+    def new_generation(self, rules: list[Rule]) -> None:
+        """Replace the rules with a new generation: the epoch moves and the index goes."""
+        self.rules = rules
+        self.generation_epoch += 1
+        self._index = None
 
     def state_dict(self) -> dict:
         """Context metadata as one JSON-able object (rows/rules live in logs)."""
@@ -288,8 +382,7 @@ class Engine:
                     validate_row(ctx.schema, row)
                 except EngineError as exc:
                     raise EngineError("validation-error", f"row {index}: {exc}") from exc
-            for row in rows:
-                dataset.append(row)
+            dataset.extend(rows)
             if rows and ctx.mode == "automated":
                 self._regenerate(ctx)
             return len(rows)
@@ -302,15 +395,15 @@ class Engine:
                 validate_row(ctx.schema, row)
             except EngineError as exc:
                 raise EngineError("validation-error", str(exc)) from exc
-            dataset.append(row)
+            dataset.extend((row,))
             if ctx.mode == "automated":
                 self._regenerate(ctx)
 
     def generate_rules(
         self, key: str, thresholds: Thresholds, algorithm: str
     ) -> list[Rule]:
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+        if algorithm not in mining.ALGORITHMS:
+            raise ValueError(f"algorithm must be one of {mining.ALGORITHMS}")
         ctx = self.context(key)
         with ctx.lock:
             self._dataset(ctx)
@@ -322,9 +415,8 @@ class Engine:
         assert config is not None
         rules, _ = mining.mine(self._dataset(ctx), config.thresholds, config.algorithm)
         ctx.config = config
-        ctx.rules = sorted(rules, key=_match_order)
+        ctx.new_generation(sorted(rules, key=_match_order))
         ctx.rules_generated = True
-        ctx.generation_epoch += 1
 
     def set_generation_mode(self, key: str, mode: str) -> None:
         if mode not in MODES:
@@ -345,11 +437,10 @@ class Engine:
         with ctx.lock:
             if not ctx.rules_generated:
                 raise EngineError("no-rules-generated", "generate_rules has never been called")
-            matches = [r for r in ctx.rules if r.active and r.antecedent.issubset(query)]
-            if not matches:
+            best = ctx.best_match(query)
+            if best is None:
                 ctx.last_gco = None
                 return None
-            best = min(matches, key=_match_order)
             ctx.last_gco = GcoRecord(query, best.identity, ctx.generation_epoch, time.time())
             return InferenceResult(best.consequent, best.confidence, best)
 
@@ -363,9 +454,7 @@ class Engine:
                 raise EngineError("no-pending-gco", "no unconsumed get_current_output match")
             if record.epoch != ctx.generation_epoch:
                 raise EngineError("rule-evicted", "the matched rule was replaced by regeneration")
-            index = next(
-                (i for i, r in enumerate(ctx.rules) if r.identity == record.rule_id), None
-            )
+            index = ctx.rule_position(record.rule_id)
             if index is None:
                 raise EngineError("rule-evicted", "the matched rule is no longer stored")
             rule = ctx.rules[index]
@@ -446,7 +535,6 @@ class Engine:
             ctx.schema = new_schema
             ctx.dataset = Dataset.restore(new_schema, retained)
             ctx.quarantine.extend(quarantined)
-            ctx.rules = []
+            ctx.new_generation([])
             ctx.rules_generated = False
-            ctx.generation_epoch += 1
             return MigrationReport(len(dropped), len(quarantined))

@@ -12,6 +12,7 @@ import json
 import re
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EngineError
@@ -341,6 +342,10 @@ class Dataset:
         validate_row(self.schema, row)
         self._rows.append(row)
 
+    def extend(self, rows: Iterable[TrainingRow]) -> None:
+        """Append rows the caller has already checked with ``validate_row``."""
+        self._rows.extend(rows)
+
     def remove_at(self, indexes: Iterable[int]) -> None:
         doomed = set(indexes)
         self._rows = [r for i, r in enumerate(self._rows) if i not in doomed]
@@ -375,9 +380,12 @@ class Rule:
         if self.source not in RULE_SOURCES:
             raise ValueError(f"rule source must be one of {RULE_SOURCES}")
 
-    @property
+    @cached_property
     def identity(self) -> str:
-        """Stable identity: the encoding of the full antecedent∪consequent itemset."""
+        """Stable identity: the encoding of the full antecedent∪consequent itemset.
+
+        Computed on first use and kept on the rule, which is immutable.
+        """
         return self.antecedent.union(self.consequent).encode()
 
     def display(self) -> str:

@@ -131,7 +131,6 @@ def _read_log(path: Path, torn_tails: Optional[dict[Path, int]] = None) -> list[
 
 def _replay(ctx: AppContext, journal: list[dict]) -> None:
     """Apply the journal's records of the snapshot's epoch, in order."""
-    index: dict[str, int] = {}
     for record in journal:
         if record["generation_epoch"] != ctx.generation_epoch:
             continue
@@ -139,9 +138,9 @@ def _replay(ctx: AppContext, journal: list[dict]) -> None:
             gco = record["last_gco"]
             ctx.last_gco = GcoRecord.from_dict(gco) if gco is not None else None
         elif record["op"] == "feedback":
-            if not index:
-                index = {rule.identity: i for i, rule in enumerate(ctx.rules)}
-            i = index[record["rule"]]
+            i = ctx.rule_position(record["rule"])
+            if i is None:
+                raise ValueError(f"feedback for a rule not in the snapshot: {record['rule']!r}")
             ctx.rules[i] = replace(
                 ctx.rules[i], confidence=record["confidence"], active=record["active"]
             )
@@ -227,7 +226,7 @@ class Store:
     def record_feedback(self, ctx: AppContext, rule_id: str) -> None:
         """Make the feedback-adjusted rule ``rule_id``, and the cleared ``last_gco``, durable."""
         with ctx.lock:
-            rule = next(r for r in ctx.rules if r.identity == rule_id)
+            rule = ctx.rules[ctx.rule_position(rule_id)]
             self._record(
                 ctx,
                 {"op": "feedback", "rule": rule_id, "confidence": rule.confidence, "active": rule.active},
