@@ -102,6 +102,8 @@ class GcoRecord:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "GcoRecord":
+        if not isinstance(obj["inputs"], Mapping):
+            raise ValueError("last_gco inputs must be an object")
         return cls(ItemSet.from_mapping(obj["inputs"]), obj["rule"], obj["epoch"], obj["t"])
 
 
@@ -280,7 +282,7 @@ class AppContext:
 def context_fingerprint(ctx: AppContext) -> str:
     """Canonical serialization of the full context, for exact-state comparison."""
     state = ctx.state_dict()
-    state["rows"] = [r.to_dict() for r in (ctx.dataset.rows if ctx.dataset else ())]
+    state["rows"] = [r.to_dict() for r in (ctx.dataset if ctx.dataset is not None else ())]
     state["quarantine"] = [r.to_dict() for r in ctx.quarantine]
     state["rules"] = [r.to_dict() for r in ctx.rules]
     return json.dumps(state, sort_keys=True)
@@ -492,7 +494,7 @@ class Engine:
                     )
             hits = [
                 i
-                for i, row in enumerate(dataset.rows)
+                for i, row in enumerate(dataset)
                 if all(row.inputs.get(a) == v for a, v in input_match.items())
             ]
             if not hits:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import EngineError
 from .mining import MiningStats, _Tidsets, meets_threshold
@@ -56,7 +56,7 @@ class Split:
 DecisionNode = Union[Leaf, Split]
 
 
-def _class_counts(rows: Sequence[TrainingRow], target: str) -> dict[str, int]:
+def _class_counts(rows: Iterable[TrainingRow], target: str) -> dict[str, int]:
     counts: dict[str, int] = {}
     for row in rows:
         value = row.outputs[target]
@@ -77,7 +77,7 @@ def _majority(counts: Mapping[str, int], domain: Sequence[str]) -> str:
 
 
 def _partition(
-    rows: Sequence[TrainingRow], attribute: str
+    rows: Iterable[TrainingRow], attribute: str
 ) -> dict[Optional[str], list[TrainingRow]]:
     parts: dict[Optional[str], list[TrainingRow]] = {}
     for row in rows:
@@ -85,7 +85,7 @@ def _partition(
     return parts
 
 
-def _gain(rows: Sequence[TrainingRow], attribute: str, target: str) -> float:
+def _gain(rows: Collection[TrainingRow], attribute: str, target: str) -> float:
     total = sum(r.weight for r in rows)
     base = entropy(_class_counts(rows, target))
     weighted = 0.0
@@ -114,7 +114,7 @@ def information_gain(data: Dataset, attribute: str, target: Optional[str] = None
     if spec is None or spec.kind != INPUT:
         raise EngineError("unknown-attribute", f"{attribute!r} is not a declared input attribute")
     target = _resolve_target(data.schema, target)
-    return _gain(data.rows, attribute, target)
+    return _gain(data, attribute, target)
 
 
 def id3_build(data: Dataset, schema: Optional[Schema] = None, target: Optional[str] = None) -> DecisionNode:
@@ -125,12 +125,12 @@ def id3_build(data: Dataset, schema: Optional[Schema] = None, target: Optional[s
     parent's majority class.
     """
     schema = schema if schema is not None else data.schema
-    if not data.rows:
+    if not len(data):
         raise EngineError("empty-dataset", "cannot build a tree from an empty dataset")
     target_name = _resolve_target(schema, target)
     target_domain = schema.domain_of(target_name)
 
-    def build(rows: Sequence[TrainingRow], available: tuple[str, ...], fallback: str) -> DecisionNode:
+    def build(rows: Collection[TrainingRow], available: tuple[str, ...], fallback: str) -> DecisionNode:
         if not rows:
             return Leaf(fallback, ())
         counts = _class_counts(rows, target_name)
@@ -156,7 +156,7 @@ def id3_build(data: Dataset, schema: Optional[Schema] = None, target: Optional[s
         null_child = build(parts.get(None, []), remaining, majority)
         return Split(best_attr, children, null_child)
 
-    return build(data.rows, schema.input_names, _majority(_class_counts(data.rows, target_name), target_domain))
+    return build(data, schema.input_names, _majority(_class_counts(data, target_name), target_domain))
 
 
 def id3_rules(

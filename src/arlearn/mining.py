@@ -10,6 +10,22 @@ items', and with one row mask per weight class a weighted count is
 enumeration kept apart from it as a test oracle. A threshold ``p/q`` (its
 shortest decimal, exactly) is met when ``count·q >= p·total``, with no
 epsilon, so results are reproducible bit for bit.
+
+Ids and objects. ``_Tidsets`` gives each distinct item an int id in
+``Item`` order, so an ascending id tuple is an itemset in canonical
+order. ``mine`` stays on ids from counting to rule derivation: the cores
+``_apriori``, ``_max_miner`` and ``_expand_maximal`` return
+``{id tuple: weighted count}``, and ``_derive``, the one rule derivation,
+finds each antecedent's count by a dict lookup. Objects begin at the
+emitted rules: ``_derive`` builds their itemsets with
+``ItemSet._canonical``, which neither sorts nor checks. That is sound
+because any subsequence of a frequent id tuple is sorted and binds each
+attribute at most once (no row holds a set that binds one twice, so at
+a positive threshold such a set is never frequent). Each rule's identity is encoded once, from its whole
+frequent id tuple. The public ``apriori``, ``max_miner``,
+``expand_maximal`` and ``derive_rules`` wrap the same cores: they build
+``FrequentItemSet`` objects with the checking constructor, or intern
+them back into ids, for tests, the benchmark and the oracle.
 """
 
 from __future__ import annotations
@@ -19,10 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import EngineError
-from .model import Dataset, Item, ItemSet, Rule, Schema, Thresholds
+from .model import INPUT, OUTPUT, Dataset, Item, ItemSet, Rule, Schema, Thresholds
 
 ALGORITHMS = ("apriori", "maxminer", "id3")
 MAX_ORACLE_ITEMS = 20
@@ -30,6 +46,8 @@ MAX_ORACLE_ITEMS = 20
 # A dataset, or raw transactions: bare item collections (weight 1) or
 # (items, weight) pairs.
 TransactionSource = Union[Dataset, Iterable]
+# Frequent itemsets as ascending id tuples (see ``_Tidsets``) with their weighted counts.
+Family = dict[tuple[int, ...], int]
 
 
 @dataclass
@@ -88,7 +106,7 @@ def meets_threshold(count: int, total: int, threshold: float) -> bool:
 def _transactions(data: TransactionSource) -> Iterator[tuple[list[tuple[str, str]], int]]:
     """Each transaction as its ``(attribute, value)`` pairs and its weight."""
     if isinstance(data, Dataset):
-        for row in data.rows:
+        for row in data:
             yield [*row.inputs.items(), *row.outputs.items()], row.weight
         return
     for entry in data:
@@ -103,8 +121,8 @@ class _Tidsets:
     """A dataset in vertical layout; every miner counts support here.
 
     Row ``r`` is bit ``r``. ``items[i]`` is the item with id ``i`` and
-    ``rows[i]`` its tidset. ``classes`` holds one ``(weight, row mask)``
-    pair per distinct row weight.
+    ``rows[i]`` its tidset; ids ascend in ``Item`` order. ``classes``
+    holds one ``(weight, row mask)`` pair per distinct row weight.
     """
 
     def __init__(self, data: TransactionSource):
@@ -138,8 +156,12 @@ class _Tidsets:
             rows &= self.rows[i]
         return rows
 
-    def freeze(self, items: Iterable[Item], count: int) -> FrequentItemSet:
-        return FrequentItemSet(ItemSet(items), count, count / self.total)
+    def freeze(self, family: Family) -> set[FrequentItemSet]:
+        """An id family as ``FrequentItemSet`` objects, built by the checking constructor."""
+        return {
+            FrequentItemSet(ItemSet(self.items[i] for i in ids), count, count / self.total)
+            for ids, count in family.items()
+        }
 
 
 def _vertical(data: Union[TransactionSource, _Tidsets], empty_ok: bool = True) -> _Tidsets:
@@ -173,11 +195,16 @@ def apriori(
     support meets ``min_support``, with exact counts.
     """
     v = _vertical(data, empty_ok=False)
-    stats = stats if stats is not None else MiningStats()
+    return v.freeze(_apriori(v, min_support, stats if stats is not None else MiningStats()))
+
+
+def _apriori(v: _Tidsets, min_support: float, stats: MiningStats) -> Family:
+    """``apriori``'s search over ids: every frequent id tuple with its count."""
     stats.candidates_generated += len(v.items)
     stats.support_counting_passes += 1
+    attribute = [item.attribute for item in v.items]
 
-    result: dict[tuple[int, ...], int] = {}
+    result: Family = {}
     level: dict[tuple[int, ...], int] = {}  # frequent k-set -> its tidset
     for i, rows in enumerate(v.rows):
         count = v.count(rows)
@@ -189,7 +216,7 @@ def apriori(
         candidates: list[tuple[int, ...]] = []
         for _, group in groupby(sorted(level), key=lambda t: t[:-1]):
             for left, right in combinations(group, 2):
-                if v.items[left[-1]].attribute == v.items[right[-1]].attribute:
+                if attribute[left[-1]] == attribute[right[-1]]:
                     continue  # one value per attribute
                 cand = left + (right[-1],)
                 if all(cand[:k] + cand[k + 1 :] in level for k in range(len(cand) - 1)):
@@ -206,8 +233,7 @@ def apriori(
                 result[cand] = count
                 next_level[cand] = rows
         level = next_level
-
-    return {v.freeze((v.items[i] for i in ids), count) for ids, count in result.items()}
+    return result
 
 
 def max_miner(
@@ -222,7 +248,11 @@ def max_miner(
     removes any candidate subsumed by a set found in another subtree.
     """
     v = _vertical(data, empty_ok=False)
-    stats = stats if stats is not None else MiningStats()
+    return v.freeze(_max_miner(v, min_support, stats if stats is not None else MiningStats()))
+
+
+def _max_miner(v: _Tidsets, min_support: float, stats: MiningStats) -> Family:
+    """``max_miner``'s search over ids: every maximal frequent id tuple with its count."""
     stats.candidates_generated += len(v.items)
     stats.support_counting_passes += 1
 
@@ -230,17 +260,28 @@ def max_miner(
     frequent_singles = sorted(s for s in singles if meets_threshold(s[0], v.total, min_support))
 
     found: dict[frozenset[int], int] = {}
+    holders = [0] * len(v.items)  # per item: a mask over ``found``'s sets holding it
 
     def record(items: frozenset[int], count: int) -> None:
         if items and items not in found:
+            bit = 1 << len(found)
             found[items] = count
+            for i in items:
+                holders[i] |= bit
+
+    def holding(items: frozenset[int]) -> int:
+        """A mask over ``found``'s sets that are supersets of nonempty ``items``."""
+        mask = -1
+        for i in items:
+            mask &= holders[i]
+        return mask
 
     def expand(node: CandidateNode, head_rows: int) -> None:
         if not node.tail:
             record(node.head, node.head_count)
             return
         hut = node.head | frozenset(node.tail)
-        if any(hut <= known for known in found):
+        if holding(hut):
             return  # subtree subsumed by an already-found maximal set
         stats.candidates_generated += 1
         stats.support_counting_passes += 1
@@ -274,10 +315,11 @@ def max_miner(
             v.rows[item],
         )
 
+    # a found set is maximal when the only found superset is itself
     return {
-        v.freeze((v.items[i] for i in items), count)
-        for items, count in found.items()
-        if not any(items < other for other in found)
+        tuple(sorted(items)): count
+        for n, (items, count) in enumerate(found.items())
+        if holding(items) == 1 << n
     }
 
 
@@ -288,29 +330,31 @@ def expand_maximal(
 
     Enumerates every nonempty subset of each maximal set, deduplicates, and
     counts each subset once, its tidset built from a one-item-smaller
-    subset's; the result equals ``apriori`` on the same inputs.
+    subset's; the result equals ``apriori`` on the same inputs. An item
+    that never occurs in ``data`` is left out, since every set holding it
+    has count 0.
     """
     v = _vertical(data)
-    universe = sorted({item for fis in maximal for item in fis.items})
-    bit_of = {item: 1 << i for i, item in enumerate(universe)}
-    counts: dict[int, int] = {}  # subset as a mask over ``universe`` -> count
-    for fis in maximal:
-        tidsets = [v.tidset((item,)) for item in fis.items]
-        bits = [bit_of[item] for item in fis.items]
-        rows = [v.all_rows] + [0] * ((1 << len(bits)) - 1)
-        keys = [0] * len(rows)
+    interned = (tuple(sorted(v.ids[it] for it in fis.items if it in v.ids)) for fis in maximal)
+    return v.freeze(_expand_maximal(v, interned, min_support))
+
+
+def _expand_maximal(v: _Tidsets, maximal: Iterable[tuple[int, ...]], min_support: float) -> Family:
+    """``expand_maximal`` over ids: every frequent subset of ascending id tuples, counted once."""
+    counts: Family = {}
+    for ids in maximal:
+        tidsets = [v.rows[i] for i in ids]
+        rows = [v.all_rows] + [0] * ((1 << len(ids)) - 1)
+        keys: list[tuple[int, ...]] = [()] * len(rows)
         for mask in range(1, len(rows)):
             low = mask & -mask
             j = low.bit_length() - 1
             rows[mask] = rows[mask ^ low] & tidsets[j]
-            keys[mask] = key = keys[mask ^ low] | bits[j]
+            # ids[j] is the smallest id in the subset, so the key stays ascending
+            keys[mask] = key = (ids[j],) + keys[mask ^ low]
             if key not in counts:
                 counts[key] = v.count(rows[mask])
-    return {
-        v.freeze((item for i, item in enumerate(universe) if key >> i & 1), count)
-        for key, count in counts.items()
-        if meets_threshold(count, v.total, min_support)
-    }
+    return {key: count for key, count in counts.items() if meets_threshold(count, v.total, min_support)}
 
 
 def brute_force_frequent(data: TransactionSource, min_support: float) -> set[FrequentItemSet]:
@@ -349,6 +393,50 @@ def brute_force_frequent(data: TransactionSource, min_support: float) -> set[Fre
     return family
 
 
+def _derive(
+    items: Sequence[Item],
+    family: Family,
+    support: Callable[[tuple[int, ...]], float],
+    schema: Schema,
+    min_confidence: float,
+    stats: Optional[MiningStats],
+    source: str,
+) -> set[Rule]:
+    """The one rule derivation, over an id family whose ids ascend in ``Item`` order.
+
+    ``items[i]`` is id ``i``'s item and ``support(ids)`` the support of a
+    member of ``family``. Objects are built only for emitted rules.
+    """
+    kind = {a.name: a.kind for a in schema.attributes}
+    role = [kind.get(item.attribute) for item in items]
+
+    def itemset(ids: tuple[int, ...]) -> ItemSet:
+        # any subsequence of a frequent id tuple is sorted and binds each attribute once
+        return ItemSet._canonical(tuple(items[i] for i in ids))
+
+    rules: set[Rule] = set()
+    for ids, count in family.items():
+        ant = tuple([i for i in ids if role[i] == INPUT])
+        cons = tuple([i for i in ids if role[i] == OUTPUT])
+        if not ant or not cons:
+            continue
+        if len(ant) + len(cons) != len(ids):
+            continue  # itemset touches attributes outside the schema
+        ant_count = family.get(ant)
+        if ant_count is None:
+            missing = ItemSet(items[i] for i in ant)
+            raise ValueError(f"frequent family is not downward closed: missing {missing!r}")
+        if meets_threshold(count, ant_count, min_confidence):
+            rules.add(
+                Rule._mined(
+                    itemset(ids), itemset(ant), itemset(cons), support(ids), count / ant_count, source
+                )
+            )
+            if stats is not None:
+                stats.rules_emitted += 1
+    return rules
+
+
 def derive_rules(
     frequent: set[FrequentItemSet],
     schema: Schema,
@@ -363,34 +451,15 @@ def derive_rules(
     Empty antecedents are never emitted. Itemsets touching attributes the
     schema does not declare are skipped.
     """
-    index = {fis.items: fis for fis in frequent}
-    input_names = set(schema.input_names)
-    output_names = set(schema.output_names)
-    rules: set[Rule] = set()
+    items = sorted({item for fis in frequent for item in fis.items})
+    ids = {item: i for i, item in enumerate(items)}
+    family: Family = {}
+    supports: dict[tuple[int, ...], float] = {}
     for fis in frequent:
-        ant_items = [i for i in fis.items if i.attribute in input_names]
-        cons_items = [i for i in fis.items if i.attribute in output_names]
-        if not ant_items or not cons_items:
-            continue
-        if len(ant_items) + len(cons_items) != len(fis.items):
-            continue  # itemset touches attributes outside the schema
-        antecedent = ItemSet(ant_items)
-        ant_fis = index.get(antecedent)
-        if ant_fis is None:
-            raise ValueError(f"frequent family is not downward closed: missing {antecedent!r}")
-        if meets_threshold(fis.support_count, ant_fis.support_count, min_confidence):
-            rules.add(
-                Rule(
-                    antecedent=antecedent,
-                    consequent=ItemSet(cons_items),
-                    support=fis.support,
-                    confidence=fis.support_count / ant_fis.support_count,
-                    source=source,
-                )
-            )
-            if stats is not None:
-                stats.rules_emitted += 1
-    return rules
+        key = tuple(ids[item] for item in fis.items)
+        family[key] = fis.support_count
+        supports[key] = fis.support
+    return _derive(items, family, supports.__getitem__, schema, min_confidence, stats, source)
 
 
 def mine(
@@ -415,10 +484,19 @@ def mine(
             tree = id3_build(dataset, dataset.schema, target)
             rules |= id3_rules(tree, dataset, thresholds, target, stats)
         return rules, stats
-    vertical = _Tidsets(dataset)
+    v = _Tidsets(dataset)
+    min_support = thresholds.min_support
     if algorithm == "apriori":
-        frequent = apriori(vertical, thresholds.min_support, stats)
+        family = _apriori(v, min_support, stats)
     else:
-        maximal = max_miner(vertical, thresholds.min_support, stats)
-        frequent = expand_maximal(maximal, vertical, thresholds.min_support)
-    return derive_rules(frequent, dataset.schema, thresholds.min_confidence, stats, algorithm), stats
+        family = _expand_maximal(v, _max_miner(v, min_support, stats), min_support)
+    rules = _derive(
+        v.items,
+        family,
+        lambda ids: family[ids] / v.total,
+        dataset.schema,
+        thresholds.min_confidence,
+        stats,
+        algorithm,
+    )
+    return rules, stats

@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import re
 import secrets
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Optional
 
 from .errors import EngineError
 
@@ -30,6 +31,9 @@ _KEY_RE = re.compile(r"^[A-Za-z0-9]{32}$")
 # name:kind:{v1,v2,...} — names and values may not contain ':', ',', '{', '}'
 # or whitespace so the literal stays unambiguous.
 _ATTR_LITERAL_RE = re.compile(r"^([^:{},\s]+):(input|output):\{([^{}\s]*)\}$")
+
+# ItemSet.encode's encoder, built once: json.dumps with these arguments builds one per call
+_ITEMS_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 
 
 def new_key() -> str:
@@ -175,8 +179,22 @@ class ItemSet:
         self._set = frozenset(ordered)
 
     @classmethod
+    def _canonical(cls, items: tuple[Item, ...]) -> "ItemSet":
+        """An itemset from a tuple already in canonical order that binds each attribute once.
+
+        Nothing is sorted, de-duplicated or checked: callers pass only tuples
+        for which both hold by construction.
+        """
+        itemset = object.__new__(cls)
+        itemset._items = items
+        itemset._set = frozenset(items)
+        return itemset
+
+    @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "ItemSet":
-        return cls(Item(a, v) for a, v in mapping.items() if v is not None)
+        # a mapping's keys are distinct, so its pairs sorted by key are canonical
+        pairs = sorted((a, v) for a, v in mapping.items() if v is not None)
+        return cls._canonical(tuple(Item(a, v) for a, v in pairs))
 
     def __iter__(self) -> Iterator[Item]:
         return iter(self._items)
@@ -222,11 +240,7 @@ class ItemSet:
 
     def encode(self) -> str:
         """Deterministic text encoding; injective over valid itemsets."""
-        return json.dumps(
-            [[i.attribute, i.value] for i in self._items],
-            separators=(",", ":"),
-            ensure_ascii=False,
-        )
+        return _ITEMS_ENCODER.encode([[i.attribute, i.value] for i in self._items])
 
 
 def canonical_encode(itemset: ItemSet) -> str:
@@ -335,6 +349,10 @@ class Dataset:
     def rows(self) -> tuple[TrainingRow, ...]:
         return tuple(self._rows)
 
+    def __iter__(self) -> Iterator[TrainingRow]:
+        """The rows in order, without the copy ``rows`` makes."""
+        return iter(self._rows)
+
     def __len__(self) -> int:
         return len(self._rows)
 
@@ -384,7 +402,8 @@ class Rule:
     def identity(self) -> str:
         """Stable identity: the encoding of the full antecedent∪consequent itemset.
 
-        Computed on first use and kept on the rule, which is immutable.
+        Computed on first use and kept on the rule, which is immutable;
+        rules from ``_mined`` arrive with it already filled.
         """
         return self.antecedent.union(self.consequent).encode()
 
@@ -402,7 +421,26 @@ class Rule:
         }
 
     @classmethod
+    def _mined(
+        cls,
+        whole: ItemSet,
+        antecedent: ItemSet,
+        consequent: ItemSet,
+        support: float,
+        confidence: float,
+        source: str,
+    ) -> "Rule":
+        """A rule whose antecedent∪consequent is ``whole``; its identity is encoded from ``whole``."""
+        rule = cls(antecedent, consequent, support, confidence, source)
+        rule.__dict__["identity"] = whole.encode()  # fills the cached_property
+        return rule
+
+    @classmethod
     def from_dict(cls, obj: Mapping) -> "Rule":
+        if not isinstance(obj, Mapping):
+            raise ValueError("rule must be an object")
+        if not isinstance(obj["antecedent"], Mapping) or not isinstance(obj["consequent"], Mapping):
+            raise ValueError("rule antecedent/consequent must be objects")
         return cls(
             antecedent=ItemSet.from_mapping(obj["antecedent"]),
             consequent=ItemSet.from_mapping(obj["consequent"]),

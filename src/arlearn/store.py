@@ -176,13 +176,14 @@ class Store:
         except (OSError, ValueError) as exc:
             raise EngineError("corrupt-meta", f"{meta_path}: {exc}") from exc
         torn = self._torn_tails
-        rows = [TrainingRow.from_dict(r) for r in _read_log(app_dir / ROWS_FILE, torn)]
-        quarantine = [
-            TrainingRow.from_dict(r) for r in _read_log(app_dir / QUARANTINE_FILE, torn)
-        ]
-        rules = [Rule.from_dict(r) for r in _read_log(app_dir / RULES_FILE)]
+        row_records = _read_log(app_dir / ROWS_FILE, torn)
+        quarantine_records = _read_log(app_dir / QUARANTINE_FILE, torn)
+        rule_records = _read_log(app_dir / RULES_FILE)
         journal = _read_log(app_dir / JOURNAL_FILE, torn)
         try:
+            rows = [TrainingRow.from_dict(r) for r in row_records]
+            quarantine = [TrainingRow.from_dict(r) for r in quarantine_records]
+            rules = [Rule.from_dict(r) for r in rule_records]
             ctx = AppContext.from_state(meta, rows, quarantine, rules)
             _replay(ctx, journal)
         except (KeyError, ValueError, TypeError) as exc:
@@ -279,7 +280,7 @@ class Store:
         if ctx is None:
             raise EngineError("unknown-key", f"no persisted application under {key!r}")
         with ctx.lock:
-            rows = ctx.dataset.rows if ctx.dataset is not None else ()
+            rows = ctx.dataset if ctx.dataset is not None else ()
             try:
                 for name, kept in ((ROWS_FILE, rows), (QUARANTINE_FILE, ctx.quarantine)):
                     path = self._app_dir(key) / name
