@@ -2,24 +2,13 @@
 
 One connection may multiplex many applications: every request names its
 key. Responses echo the request's correlation id; per-connection response
-order matches request order. Mutations are persisted before the response
-is written, under the context's lock, so disk order matches memory order.
-Each verb writes only what it changed:
+order matches request order. With a store, every mutation is durable
+before its response is written, in the order it was made in memory, and
+a request that fails, whether the engine refuses it or its store write
+fails, leaves memory as it was before it: memory is never ahead of disk.
+``_WRITES`` says what each verb writes. Of a verb with two writes, a
+failure of the second leaves the first on disk.
 
-- ``get_current_output``: one ``gco`` journal record;
-- ``send_feedback_last_gco``: one ``feedback`` journal record;
-- ``set_training_data_row`` and ``load_training_data``: one ``rows.log``
-  append for the whole batch, plus the snapshot when automated mode
-  remined;
-- ``register_app``, ``set_input_output``, ``generate_rules`` and
-  ``set_generation_mode``: the meta and rules snapshot;
-- ``delete_training_data`` and ``delete_training_data_row``: the rows
-  and quarantine logs rewritten;
-- ``change_inputs_outputs``: the snapshot, then the rows and quarantine
-  logs.
-
-If a journal record cannot be written, the request fails with
-``io-error`` and the context's prior ``last_gco`` and rules are put back.
 A request line longer than ``MAX_LINE`` bytes is answered with
 ``malformed-request`` and the rest of it is dropped.
 """
@@ -34,7 +23,6 @@ from typing import Callable, Mapping, Optional, Union
 
 from .engine import AppContext, Engine, MigrationReport
 from .errors import EngineError
-from .mining import ALGORITHMS
 from .model import Thresholds, TrainingRow, parse_attribute_literal
 from .store import Store, open_store
 
@@ -70,15 +58,11 @@ def _row_param(obj) -> TrainingRow:
         raise EngineError("malformed-params", f"bad row: {exc}") from exc
 
 
-def _thresholds_params(params: Mapping) -> tuple[Thresholds, str]:
+def _thresholds_param(params: Mapping) -> Thresholds:
     try:
-        thresholds = Thresholds(params["min_support"], params["min_confidence"])
+        return Thresholds(params["min_support"], params["min_confidence"])
     except (KeyError, ValueError, TypeError) as exc:
         raise EngineError("malformed-params", f"bad thresholds: {exc}") from exc
-    algorithm = params.get("algorithm", "apriori")
-    if algorithm not in ALGORITHMS:
-        raise EngineError("malformed-params", f"unknown algorithm {algorithm!r}")
-    return thresholds, algorithm
 
 
 def _string_map(params: Mapping, name: str, allow_null: bool = False) -> dict:
@@ -93,85 +77,38 @@ def _string_map(params: Mapping, name: str, allow_null: bool = False) -> dict:
     return obj
 
 
-def _persist(store: Optional[Store], ctx: AppContext) -> None:
-    if store is not None:
-        store.persist_context(ctx)
+def _h_register_app(engine, key, params):
+    return {"key": engine.register_app(_param(params, "name", str))}
 
 
-def _h_register_app(engine, store, key, params):
-    name = _param(params, "name", str)
-    new_key = engine.register_app(name)
-    _persist(store, engine.context(new_key))
-    return {"key": new_key}
-
-
-def _h_set_input_output(engine, store, key, params):
-    inputs, outputs = _schema_params(params)
-    ctx = engine.context(key)
-    with ctx.lock:
-        engine.set_input_output(key, inputs, outputs)
-        _persist(store, ctx)
+def _h_set_input_output(engine, key, params):
+    engine.set_input_output(key, *_schema_params(params))
     return "ok"
 
 
-def _add_rows(engine, store, key, rows, insert):
-    """Insert through the engine, append the rows, and snapshot only if it remined."""
-    ctx = engine.context(key)
-    with ctx.lock:
-        epoch = ctx.generation_epoch
-        result = insert()
-        if store is not None:
-            store.append_rows(key, rows)
-            if ctx.generation_epoch != epoch:
-                store.persist_context(ctx)
-    return result
+def _h_load_training_data(engine, key, params):
+    rows = [_row_param(r) for r in _param(params, "rows", list)]
+    return {"accepted": engine.load_training_data(key, rows)}
 
 
-def _h_load_training_data(engine, store, key, params):
-    rows_obj = _param(params, "rows", list)
-    rows = [_row_param(r) for r in rows_obj]
-    accepted = _add_rows(engine, store, key, rows, lambda: engine.load_training_data(key, rows))
-    return {"accepted": accepted}
-
-
-def _h_set_training_data_row(engine, store, key, params):
-    row = _row_param(_param(params, "row", dict))
-    _add_rows(engine, store, key, [row], lambda: engine.set_training_data_row(key, row))
+def _h_set_training_data_row(engine, key, params):
+    engine.set_training_data_row(key, _row_param(_param(params, "row", dict)))
     return "ok"
 
 
-def _h_generate_rules(engine, store, key, params):
-    thresholds, algorithm = _thresholds_params(params)
-    ctx = engine.context(key)
-    with ctx.lock:
-        rules = engine.generate_rules(key, thresholds, algorithm)
-        _persist(store, ctx)
+def _h_generate_rules(engine, key, params):
+    thresholds = _thresholds_param(params)
+    rules = engine.generate_rules(key, thresholds, params.get("algorithm", "apriori"))
     return {"rules": [r.to_dict() for r in rules]}
 
 
-def _h_set_generation_mode(engine, store, key, params):
-    mode = _param(params, "mode", str)
-    if mode not in ("automated", "manual"):
-        raise EngineError("malformed-params", f"unknown mode {mode!r}")
-    ctx = engine.context(key)
-    with ctx.lock:
-        engine.set_generation_mode(key, mode)
-        _persist(store, ctx)
+def _h_set_generation_mode(engine, key, params):
+    engine.set_generation_mode(key, params.get("mode"))
     return "ok"
 
 
-def _h_get_current_output(engine, store, key, params):
-    inputs = _string_map(params, "inputs")
-    ctx = engine.context(key)
-    with ctx.lock:
-        prior = ctx.last_gco
-        result = engine.get_current_output(key, inputs)
-        if store is not None:
-            try:
-                store.record_gco(ctx)
-            except EngineError:
-                ctx.last_gco = prior
-                raise
+def _h_get_current_output(engine, key, params):
+    result = engine.get_current_output(key, _string_map(params, "inputs"))
     if result is None:
         return {"output": None}
     return {
@@ -182,60 +119,29 @@ def _h_get_current_output(engine, store, key, params):
     }
 
 
-def _h_send_feedback_last_gco(engine, store, key, params):
-    verdict = _param(params, "verdict", str)
-    if verdict not in ("positive", "negative"):
-        raise EngineError("malformed-params", f"unknown verdict {verdict!r}")
-    ctx = engine.context(key)
-    with ctx.lock:
-        prior_gco, prior_rules = ctx.last_gco, list(ctx.rules)
-        confidence = engine.send_feedback_last_gco(key, verdict)
-        if store is not None:
-            try:
-                store.record_feedback(ctx, prior_gco.rule_id)
-            except EngineError:
-                ctx.last_gco, ctx.rules = prior_gco, prior_rules
-                raise
-    return {"confidence": confidence}
+def _h_send_feedback_last_gco(engine, key, params):
+    return {"confidence": engine.send_feedback_last_gco(key, params.get("verdict"))}
 
 
-def _h_delete_training_data(engine, store, key, params):
-    ctx = engine.context(key)
-    with ctx.lock:
-        engine.delete_training_data(key)
-        if store is not None:
-            store.compact(key)
+def _h_delete_training_data(engine, key, params):
+    engine.delete_training_data(key)
     return "ok"
 
 
-def _h_delete_training_data_row(engine, store, key, params):
+def _h_delete_training_data_row(engine, key, params):
     match = _string_map(params, "match", allow_null=True)
-    mode = params.get("mode", "first")
-    if mode not in ("first", "all"):
-        raise EngineError("malformed-params", f"unknown delete mode {mode!r}")
-    ctx = engine.context(key)
-    with ctx.lock:
-        deleted = engine.delete_training_data_row(key, match, mode)
-        if store is not None:
-            store.compact(key)
-    return {"deleted": deleted}
+    return {"deleted": engine.delete_training_data_row(key, match, params.get("mode", "first"))}
 
 
-def _h_change_inputs_outputs(engine, store, key, params):
-    inputs, outputs = _schema_params(params)
-    ctx = engine.context(key)
-    with ctx.lock:
-        report: MigrationReport = engine.change_inputs_outputs(key, inputs, outputs)
-        if store is not None:
-            store.persist_context(ctx)
-            store.compact(key)
+def _h_change_inputs_outputs(engine, key, params):
+    report: MigrationReport = engine.change_inputs_outputs(key, *_schema_params(params))
     return {
         "dropped_columns": report.dropped_columns,
         "quarantined_rows": report.quarantined_rows,
     }
 
 
-def _h_ping(engine, store, key, params):
+def _h_ping(engine, key, params):
     return "pong"
 
 
@@ -258,8 +164,54 @@ VERBS = tuple(_HANDLERS)
 _KEYLESS = {"register_app", "ping"}
 
 
+def _snapshot(store: Store, ctx: AppContext, saved: AppContext) -> None:
+    store.persist_context(ctx)
+
+
+def _appended_rows(store: Store, ctx: AppContext, saved: AppContext) -> None:
+    """The rows past the checkpoint's, plus the snapshot if automated mode remined."""
+    store.append_rows(ctx.key, ctx.dataset.rows[len(saved.dataset):])
+    if ctx.generation_epoch != saved.generation_epoch:
+        store.persist_context(ctx)
+
+
+def _compaction(store: Store, ctx: AppContext, saved: AppContext) -> None:
+    store.compact(ctx.key)
+
+
+def _feedback(store: Store, ctx: AppContext, saved: AppContext) -> None:
+    store.record_feedback(ctx, saved.last_gco.rule_id)
+
+
+def _migration(store: Store, ctx: AppContext, saved: AppContext) -> None:
+    store.persist_context(ctx)
+    store.compact(ctx.key)
+
+
+# What each keyed verb writes once the engine has applied it, given the
+# context and its checkpoint from before the request.
+_WRITES: dict[str, Callable[[Store, AppContext, AppContext], None]] = {
+    "set_input_output": _snapshot,
+    "load_training_data": _appended_rows,
+    "set_training_data_row": _appended_rows,
+    "generate_rules": _snapshot,
+    "set_generation_mode": _snapshot,
+    "get_current_output": lambda store, ctx, saved: store.record_gco(ctx),
+    "send_feedback_last_gco": _feedback,
+    "delete_training_data": _compaction,
+    "delete_training_data_row": _compaction,
+    "change_inputs_outputs": _migration,
+}
+
+
 def dispatch(request: object, engine: Engine, store: Optional[Store] = None) -> dict:
-    """Execute one wire request and build the response object."""
+    """Execute one wire request and build the response object.
+
+    With a store, a keyed verb runs under the context's lock from a
+    checkpoint, then its write in ``_WRITES``; if either fails, the
+    checkpoint is restored. A ``register_app`` whose snapshot fails drops
+    the new application.
+    """
     rid = request.get("id") if isinstance(request, Mapping) else None
     try:
         if not isinstance(request, Mapping):
@@ -273,9 +225,30 @@ def dispatch(request: object, engine: Engine, store: Optional[Store] = None) -> 
         if not isinstance(params, Mapping):
             raise EngineError("malformed-params", "params must be an object")
         key = request.get("key")
-        if verb not in _KEYLESS and not isinstance(key, str):
+        handler = _HANDLERS[verb]
+        if verb in _KEYLESS:
+            result = handler(engine, key, params)
+            if verb == "register_app" and store is not None:
+                try:
+                    store.persist_context(engine.context(result["key"]))
+                except BaseException:
+                    engine.unregister_app(result["key"])
+                    raise
+        elif not isinstance(key, str):
             raise EngineError("malformed-params", f"{verb} requires a key")
-        result = _HANDLERS[verb](engine, store, key, params)
+        elif store is None:
+            engine.context(key)  # an unknown key is refused before the params are read
+            result = handler(engine, key, params)
+        else:
+            ctx = engine.context(key)
+            with ctx.lock:
+                saved = ctx.checkpoint()
+                try:
+                    result = handler(engine, key, params)
+                    _WRITES[verb](store, ctx, saved)
+                except BaseException:
+                    ctx.restore(saved)
+                    raise
         return {"id": rid, "ok": True, "result": result}
     except EngineError as exc:
         return {"id": rid, "ok": False, "error": {"code": exc.code, "message": str(exc)}}

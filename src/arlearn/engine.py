@@ -128,10 +128,11 @@ def _match_order(rule: Rule) -> tuple:
 class _RuleIndex:
     """Lookups by position in one generation's ``ctx.rules``.
 
-    Feedback, journal replay and the daemon's rollback replace a rule at
-    its position without changing its antecedent or identity, so what is
-    built here holds until ``epoch`` moves. It keeps positions and
-    identity strings, never a ``Rule``.
+    Feedback and journal replay replace a rule at its position without
+    changing its antecedent or identity, so what is built here holds until
+    ``epoch`` moves; ``AppContext.restore`` puts back the rules and the
+    index together. It keeps positions and identity strings, never a
+    ``Rule``.
     """
 
     __slots__ = ("epoch", "queries", "unbound", "bound", "positions")
@@ -233,6 +234,26 @@ class AppContext:
     def rule_position(self, rule_id: str) -> Optional[int]:
         """The position in ``rules`` of the rule with identity ``rule_id``, if it is there."""
         return self._rule_index().position(self.rules, rule_id)
+
+    def checkpoint(self) -> "AppContext":
+        """A copy of this context for ``restore``.
+
+        The lists a request changes in place (rules, quarantine and the
+        dataset's rows) are copied; every other slot is shared, because
+        requests replace those values and never change them.
+        """
+        saved = object.__new__(AppContext)
+        saved.restore(self)  # shares every slot
+        saved.rules = list(self.rules)
+        saved.quarantine = list(self.quarantine)
+        if self.dataset is not None:
+            saved.dataset = Dataset.restore(self.dataset.schema, self.dataset)
+        return saved
+
+    def restore(self, saved: "AppContext") -> None:
+        """Put back every slot of a ``checkpoint``."""
+        for slot in self.__slots__:
+            setattr(self, slot, getattr(saved, slot))
 
     def new_generation(self, rules: list[Rule]) -> None:
         """Replace the rules with a new generation: the epoch moves and the index goes."""
@@ -340,6 +361,12 @@ class Engine:
             self._install(AppContext(key, name))
             return key
 
+    def unregister_app(self, key: str) -> None:
+        """Drop the context under ``key``, freeing its name."""
+        with self._lock:
+            ctx = self._contexts.pop(key)
+            del self._names[ctx.name]
+
     def set_input_output(
         self,
         key: str,
@@ -404,12 +431,14 @@ class Engine:
     def generate_rules(
         self, key: str, thresholds: Thresholds, algorithm: str
     ) -> list[Rule]:
-        if algorithm not in mining.ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {mining.ALGORITHMS}")
+        try:
+            config = GenerationConfig(thresholds, algorithm)
+        except ValueError as exc:
+            raise EngineError("malformed-params", str(exc)) from exc
         ctx = self.context(key)
         with ctx.lock:
             self._dataset(ctx)
-            self._regenerate(ctx, GenerationConfig(thresholds, algorithm))
+            self._regenerate(ctx, config)
             return list(ctx.rules)
 
     def _regenerate(self, ctx: AppContext, config: Optional[GenerationConfig] = None) -> None:
@@ -422,7 +451,7 @@ class Engine:
 
     def set_generation_mode(self, key: str, mode: str) -> None:
         if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise EngineError("malformed-params", f"unknown mode {mode!r}")
         ctx = self.context(key)
         with ctx.lock:
             if mode == "automated" and ctx.config is None:
@@ -448,7 +477,7 @@ class Engine:
 
     def send_feedback_last_gco(self, key: str, verdict: str) -> float:
         if verdict not in ("positive", "negative"):
-            raise ValueError("verdict must be 'positive' or 'negative'")
+            raise EngineError("malformed-params", f"unknown verdict {verdict!r}")
         ctx = self.context(key)
         with ctx.lock:
             record = ctx.last_gco
@@ -482,7 +511,7 @@ class Engine:
         self, key: str, input_match: Mapping[str, Optional[str]], mode: str = "first"
     ) -> int:
         if mode not in ("first", "all"):
-            raise ValueError("mode must be 'first' or 'all'")
+            raise EngineError("malformed-params", f"unknown delete mode {mode!r}")
         ctx = self.context(key)
         with ctx.lock:
             dataset = self._dataset(ctx)

@@ -38,9 +38,9 @@ from itertools import combinations, groupby
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import EngineError
-from .model import INPUT, OUTPUT, Dataset, Item, ItemSet, Rule, Schema, Thresholds
+from .model import INPUT, OUTPUT, RULE_SOURCES, Dataset, Item, ItemSet, Rule, Schema, Thresholds
 
-ALGORITHMS = ("apriori", "maxminer", "id3")
+ALGORITHMS = RULE_SOURCES
 MAX_ORACLE_ITEMS = 20
 
 # A dataset, or raw transactions: bare item collections (weight 1) or

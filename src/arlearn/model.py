@@ -22,6 +22,7 @@ INPUT = "input"
 OUTPUT = "output"
 KINDS = (INPUT, OUTPUT)
 
+# the mining algorithms, each the source of the rules it mines
 RULE_SOURCES = ("apriori", "maxminer", "id3")
 
 KEY_LENGTH = 32
@@ -226,12 +227,6 @@ class ItemSet:
     def attributes(self) -> tuple[str, ...]:
         return tuple(i.attribute for i in self._items)
 
-    def value_of(self, attribute: str) -> Optional[str]:
-        for item in self._items:
-            if item.attribute == attribute:
-                return item.value
-        return None
-
     def as_mapping(self) -> dict[str, str]:
         return {i.attribute: i.value for i in self._items}
 
@@ -241,16 +236,6 @@ class ItemSet:
     def encode(self) -> str:
         """Deterministic text encoding; injective over valid itemsets."""
         return _ITEMS_ENCODER.encode([[i.attribute, i.value] for i in self._items])
-
-
-def canonical_encode(itemset: ItemSet) -> str:
-    """Stable text key for an itemset; the empty set encodes as ``[]``."""
-    return itemset.encode()
-
-
-def decode_itemset(text: str) -> ItemSet:
-    pairs = json.loads(text)
-    return ItemSet(Item(a, v) for a, v in pairs)
 
 
 def _clean_bindings(mapping: Mapping[str, Optional[str]], role: str) -> dict[str, str]:
@@ -320,11 +305,6 @@ def validate_row(schema: Schema, row: TrainingRow) -> None:
     for name in schema.output_names:
         if name not in row.outputs:
             raise EngineError("missing-output", f"output attribute {name!r} is unbound")
-
-
-def row_to_itemset(row: TrainingRow) -> ItemSet:
-    """One item per bound attribute, inputs and outputs alike; nulls omitted."""
-    return row.itemset()
 
 
 class Dataset:

@@ -38,6 +38,7 @@ import contextlib
 import json
 import logging
 import os
+import shutil
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -207,6 +208,7 @@ class Store:
         with ctx.lock:
             meta_text = json.dumps(ctx.state_dict(), sort_keys=True) + "\n"
             rules_text = _lines(r.to_dict() for r in ctx.rules)
+            created = not app_dir.is_dir()
             try:
                 app_dir.mkdir(parents=True, exist_ok=True)
                 _atomic_write(app_dir / META_FILE, meta_text)
@@ -215,6 +217,9 @@ class Store:
                     os.truncate(app_dir / JOURNAL_FILE, 0)
                 self._torn_tails.pop(app_dir / JOURNAL_FILE, None)
             except OSError as exc:
+                if created:
+                    # a key directory without a whole snapshot would fail the next open
+                    shutil.rmtree(app_dir, ignore_errors=True)
                 raise EngineError("io-error", f"persisting {ctx.key}: {exc}") from exc
             self._journal_room[ctx.key] = len(meta_text) + len(rules_text)
             self._contexts[ctx.key] = ctx

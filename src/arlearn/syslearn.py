@@ -141,6 +141,22 @@ class SignalBinning:
         else:
             raise ValueError(f"signal {self.signal!r}: unknown binning kind {self.kind!r}")
 
+    @classmethod
+    def from_dict(cls, obj: Mapping) -> "SignalBinning":
+        """Parse one signal of a binning config or a trace spec.
+
+        Malformed input raises ``KeyError``, ``TypeError``, ``ValueError``
+        or, for a bin of fewer than three entries, ``IndexError``.
+        """
+        return cls(
+            signal=obj["signal"],
+            attribute=obj.get("attribute", obj["signal"]),
+            kind=obj["kind"],
+            domain=tuple(obj.get("domain", ())),
+            bins=tuple((b[0], b[1], b[2]) for b in obj.get("bins", ())),
+            width_minutes=obj.get("width_minutes", 60),
+        )
+
     def labels(self) -> tuple[str, ...]:
         if self.kind == CATEGORICAL:
             return self.domain
@@ -212,17 +228,7 @@ class BinningConfig:
     @classmethod
     def from_dict(cls, obj: Mapping) -> "BinningConfig":
         try:
-            signals = [
-                SignalBinning(
-                    signal=s["signal"],
-                    attribute=s.get("attribute", s["signal"]),
-                    kind=s["kind"],
-                    domain=tuple(s.get("domain", ())),
-                    bins=tuple((b[0], b[1], b[2]) for b in s.get("bins", ())),
-                    width_minutes=s.get("width_minutes", 60),
-                )
-                for s in obj["signals"]
-            ]
+            signals = [SignalBinning.from_dict(s) for s in obj["signals"]]
             actions = [
                 ActionBinding(a["attribute"], tuple(a["domain"])) for a in obj["actions"]
             ]
@@ -412,14 +418,7 @@ def replay(
 def _spec_signals(spec: Mapping) -> list[tuple[SignalBinning, list[str], list[float]]]:
     out = []
     for s in spec["signals"]:
-        binning = SignalBinning(
-            signal=s["signal"],
-            attribute=s.get("attribute", s["signal"]),
-            kind=s["kind"],
-            domain=tuple(s.get("domain", ())),
-            bins=tuple((b[0], b[1], b[2]) for b in s.get("bins", ())),
-            width_minutes=s.get("width_minutes", 60),
-        )
+        binning = SignalBinning.from_dict(s)
         labels = list(s.get("labels", binning.labels()))
         for label in labels:
             if label not in binning.labels():
@@ -488,7 +487,7 @@ def generate_trace(
         action_rate = float(spec.get("action_rate", 0.5))
         step_lo, step_hi = spec.get("step_seconds", [30, 300])
         t = int(spec.get("start", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise EngineError("invalid-spec", f"bad trace spec: {exc}") from exc
 
     rng = random.Random(seed)

@@ -163,6 +163,17 @@ class TestGenTrace:
             == 2
         )
 
+    def test_short_bin_is_invalid_spec(self, tmp_path, capsys):
+        spec = dict(TRACE_SPEC, signals=[{"signal": "battery", "kind": "intervals", "bins": [[0, 10]]}])
+        path = tmp_path / "short-bin.json"
+        path.write_text(json.dumps(spec))
+        assert (
+            main(["gen-trace", "--spec", str(path), "--seed", "1", "--len", "10",
+                  "--out", str(tmp_path / "x.trace")])
+            == 2
+        )
+        assert "[invalid-spec]" in capsys.readouterr().err
+
 
 class TestInspect:
     def _seed_store(self, tmp_path):

@@ -4,8 +4,9 @@ import threading
 
 import pytest
 
+import arlearn.store as store_module
 from arlearn.daemon import VERBS, dispatch, make_server, parse_endpoint
-from arlearn.engine import Engine
+from arlearn.engine import Engine, context_fingerprint
 from arlearn.store import open_store
 
 from helpers import F1_INPUT_LITERALS, F1_OUTPUT_LITERALS, F1_ROW_DICTS
@@ -241,6 +242,102 @@ class TestPersistence:
         must_ok(call(engine, "generate_rules", key, store=store, **THRESH_PARAMS))
         reloaded = open_store(tmp_path).contexts()[key]
         assert len(reloaded.rules) == 3
+
+
+def fingerprints(contexts):
+    return {ctx.key: context_fingerprint(ctx) for ctx in contexts}
+
+
+def no_space(*args):
+    raise OSError(28, "No space left on device")
+
+
+# Each mutating verb's request, as (target application, params), and the
+# store function its first write goes through: ``_append`` for rows and
+# journal records, ``_atomic_write`` for snapshots and compactions.
+FAILING_WRITES = {
+    "register_app": (None, {"name": "Second"}, "_atomic_write"),
+    "set_input_output": ("bare", SCHEMA_PARAMS, "_atomic_write"),
+    "load_training_data": ("trained", {"rows": F1_ROW_DICTS}, "_append"),
+    "set_training_data_row": ("trained", {"row": F1_ROW_DICTS[2]}, "_append"),
+    "generate_rules": ("trained", THRESH_PARAMS, "_atomic_write"),
+    "set_generation_mode": ("trained", {"mode": "automated"}, "_atomic_write"),
+    "get_current_output": ("trained", {"inputs": {"headphones": "no"}}, "_append"),
+    "send_feedback_last_gco": ("trained", {"verdict": "negative"}, "_append"),
+    "delete_training_data": ("trained", {}, "_atomic_write"),
+    "delete_training_data_row": ("trained", {"match": {"headphones": "no"}, "mode": "all"}, "_atomic_write"),
+    "change_inputs_outputs": (
+        "trained",
+        {"inputs": ["headphones:input:{yes,no}"], "outputs": F1_OUTPUT_LITERALS},
+        "_atomic_write",
+    ),
+}
+
+
+class TestFailedWrites:
+    @pytest.fixture
+    def stored(self, tmp_path, engine):
+        """A trained application with a pending match, and one without a schema, on a store."""
+        store = open_store(tmp_path)
+        trained = must_ok(call(engine, "register_app", store=store, name="Trained"))["key"]
+        must_ok(call(engine, "set_input_output", trained, store=store, **SCHEMA_PARAMS))
+        must_ok(call(engine, "load_training_data", trained, store=store, rows=F1_ROW_DICTS))
+        must_ok(call(engine, "generate_rules", trained, store=store, **THRESH_PARAMS))
+        must_ok(call(engine, "get_current_output", trained, store=store, inputs={"headphones": "yes"}))
+        bare = must_ok(call(engine, "register_app", store=store, name="Bare"))["key"]
+        return store, {"trained": trained, "bare": bare}
+
+    @pytest.mark.parametrize("verb", [verb for verb in VERBS if verb != "ping"])
+    def test_failed_first_write_leaves_memory_and_disk_as_they_were(
+        self, tmp_path, engine, stored, monkeypatch, verb
+    ):
+        if verb not in FAILING_WRITES:
+            pytest.fail(f"no failing-write case for the mutating verb {verb!r}")
+        store, apps = stored
+        target, params, write = FAILING_WRITES[verb]
+        key = apps.get(target)
+        before = fingerprints(engine.contexts())
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, write, no_space)
+            must_err(call(engine, verb, key, store=store, **params), "io-error")
+        assert fingerprints(engine.contexts()) == before
+        assert fingerprints(open_store(tmp_path).contexts().values()) == before
+        must_ok(call(engine, verb, key, store=store, **params))
+        assert fingerprints(open_store(tmp_path).contexts().values()) == fingerprints(engine.contexts())
+
+    def test_failed_automated_insert_keeps_the_rules(self, tmp_path, engine, stored, monkeypatch):
+        store, apps = stored
+        key = apps["trained"]
+        must_ok(call(engine, "set_generation_mode", key, store=store, mode="automated"))
+        before = context_fingerprint(engine.context(key))
+        epoch = engine.context(key).generation_epoch
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "_append", no_space)
+            must_err(call(engine, "set_training_data_row", key, store=store, row=F1_ROW_DICTS[2]), "io-error")
+        assert context_fingerprint(engine.context(key)) == before
+        assert engine.context(key).generation_epoch == epoch
+        assert context_fingerprint(open_store(tmp_path).contexts()[key]) == before
+
+    @pytest.mark.parametrize("failing", ["meta.json", "rules.log"])
+    def test_failed_registration_frees_the_name_and_leaves_no_directory(
+        self, tmp_path, engine, monkeypatch, failing
+    ):
+        store = open_store(tmp_path)
+        real = store_module._atomic_write
+
+        def fail_one(path, text):
+            if path.name == failing:
+                no_space()
+            real(path, text)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "_atomic_write", fail_one)
+            must_err(call(engine, "register_app", store=store, name="App"), "io-error")
+        assert list(tmp_path.iterdir()) == []
+        assert engine.key_for_name("App") is None
+        assert open_store(tmp_path).contexts() == {}
+        key = must_ok(call(engine, "register_app", store=store, name="App"))["key"]
+        assert list(open_store(tmp_path).contexts()) == [key]
 
 
 class _Client:

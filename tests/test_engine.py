@@ -462,6 +462,24 @@ class TestChangeInputsOutputs:
         assert code_of(err) == "unknown-key"
 
 
+@pytest.mark.parametrize(
+    "request_",
+    [
+        lambda engine, key: engine.generate_rules(key, Thresholds(0.4, 0.8), "fpgrowth"),
+        lambda engine, key: engine.set_generation_mode(key, "sometimes"),
+        lambda engine, key: engine.send_feedback_last_gco(key, "meh"),
+        lambda engine, key: engine.delete_training_data_row(key, {}, "some"),
+    ],
+    ids=["algorithm", "mode", "verdict", "delete-mode"],
+)
+def test_unknown_enumerated_values_are_malformed_params(engine, trained, request_):
+    before = context_fingerprint(engine.context(trained))
+    with pytest.raises(EngineError) as err:
+        request_(engine, trained)
+    assert code_of(err) == "malformed-params"
+    assert context_fingerprint(engine.context(trained)) == before
+
+
 def _normalized(ctx) -> str:
     state = json.loads(context_fingerprint(ctx))
     state["key"] = "KEY"

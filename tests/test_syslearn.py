@@ -318,6 +318,15 @@ class TestGenerateTrace:
             generate_trace({"signals": []}, seed=1, length=10, out=tmp_path / "x.trace")
         assert err.value.code == "invalid-spec"
 
+    def test_short_bin_is_invalid_spec_in_binning_and_trace_spec(self, tmp_path):
+        short = {"signal": "battery", "kind": "intervals", "bins": [[0, 10]]}
+        with pytest.raises(EngineError) as err:
+            BinningConfig.from_dict(dict(BINNING_DICT, signals=[short]))
+        assert err.value.code == "invalid-spec"
+        with pytest.raises(EngineError) as err:
+            generate_trace(dict(TRACE_SPEC, signals=[short]), seed=1, length=10, out=tmp_path / "x.trace")
+        assert err.value.code == "invalid-spec"
+
     def test_sidecar_matches_trace_recount(self, tmp_path, binning):
         out = tmp_path / "recount.trace"
         frequencies = generate_trace(TRACE_SPEC, seed=21, length=400, out=out)
