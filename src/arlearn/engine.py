@@ -102,9 +102,7 @@ class GcoRecord:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "GcoRecord":
-        if not isinstance(obj["inputs"], Mapping):
-            raise ValueError("last_gco inputs must be an object")
-        return cls(ItemSet.from_mapping(obj["inputs"]), obj["rule"], obj["epoch"], obj["t"])
+        return cls(ItemSet.from_record(obj["inputs"]), obj["rule"], obj["epoch"], obj["t"])
 
 
 @dataclass(frozen=True)

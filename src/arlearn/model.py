@@ -14,7 +14,8 @@ import secrets
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 from .errors import EngineError
 
@@ -44,6 +45,11 @@ def new_key() -> str:
 
 def is_key(text: object) -> bool:
     return isinstance(text, str) and bool(_KEY_RE.match(text))
+
+
+def is_number(value: object) -> bool:
+    """Whether ``value`` is an int or a float; JSON's ``true`` is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -149,15 +155,21 @@ class Schema:
         return f"Schema({', '.join(format_attribute_literal(a) for a in self._attributes)})"
 
 
-@dataclass(frozen=True, order=True)
-class Item:
-    """One ``attribute=value`` binding; the unit of itemsets."""
+class Item(NamedTuple):
+    """One ``attribute=value`` binding; the unit of itemsets.
+
+    A tuple, so hashing, equality and ordering (attribute, then value) run
+    in C; its hash is ``hash((attribute, value))``.
+    """
 
     attribute: str
     value: str
 
     def __str__(self) -> str:
         return f"{self.attribute}={self.value}"
+
+
+_attribute = itemgetter(0)  # an Item's attribute
 
 
 class ItemSet:
@@ -193,9 +205,31 @@ class ItemSet:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "ItemSet":
+        """The itemset of a query's bindings; an unbound (null) value is left out."""
         # a mapping's keys are distinct, so its pairs sorted by key are canonical
         pairs = sorted((a, v) for a, v in mapping.items() if v is not None)
-        return cls._canonical(tuple(Item(a, v) for a, v in pairs))
+        return cls._canonical(tuple(map(Item._make, pairs)))
+
+    @classmethod
+    def from_record(cls, mapping: object, memo: Optional[dict] = None) -> "ItemSet":
+        """The itemset of a stored ``{attribute: value}`` object; every value must be text.
+
+        Unlike ``from_mapping`` a null value is an error: nothing stored
+        binds one. With ``memo``, objects with equal pairs in equal order
+        give one shared itemset, built once.
+        """
+        if not isinstance(mapping, Mapping):
+            raise ValueError("itemset must be an object")
+        pairs = tuple(mapping.items())
+        for attribute, value in pairs:
+            if not isinstance(value, str):
+                raise ValueError(f"value for {attribute!r} must be text, got {value!r}")
+        itemset = memo.get(pairs) if memo is not None else None
+        if itemset is None:
+            itemset = cls._canonical(tuple(map(Item._make, sorted(pairs))))
+            if memo is not None:
+                memo[pairs] = itemset
+        return itemset
 
     def __iter__(self) -> Iterator[Item]:
         return iter(self._items)
@@ -369,7 +403,7 @@ class Rule:
     def __post_init__(self):
         if not self.consequent:
             raise ValueError("rule consequent may not be empty")
-        if set(self.antecedent.attributes()) & set(self.consequent.attributes()):
+        if not set(map(_attribute, self.antecedent)).isdisjoint(map(_attribute, self.consequent)):
             raise ValueError("antecedent and consequent must bind disjoint attributes")
         if not (0.0 <= self.support <= 1.0):
             raise ValueError(f"support {self.support} outside [0,1]")
@@ -416,18 +450,23 @@ class Rule:
         return rule
 
     @classmethod
-    def from_dict(cls, obj: Mapping) -> "Rule":
+    def from_dict(cls, obj: Mapping, itemsets: Optional[dict] = None) -> "Rule":
+        """The rule ``to_dict`` wrote; ``itemsets`` is ``ItemSet.from_record``'s memo."""
         if not isinstance(obj, Mapping):
             raise ValueError("rule must be an object")
-        if not isinstance(obj["antecedent"], Mapping) or not isinstance(obj["consequent"], Mapping):
-            raise ValueError("rule antecedent/consequent must be objects")
+        support, confidence, active = obj["support"], obj["confidence"], obj.get("active", True)
+        for label, number in (("support", support), ("confidence", confidence)):
+            if not is_number(number):
+                raise ValueError(f"rule {label} must be a number, got {number!r}")
+        if not isinstance(active, bool):
+            raise ValueError(f"rule active must be true or false, got {active!r}")
         return cls(
-            antecedent=ItemSet.from_mapping(obj["antecedent"]),
-            consequent=ItemSet.from_mapping(obj["consequent"]),
-            support=float(obj["support"]),
-            confidence=float(obj["confidence"]),
+            antecedent=ItemSet.from_record(obj["antecedent"], itemsets),
+            consequent=ItemSet.from_record(obj["consequent"], itemsets),
+            support=float(support),
+            confidence=float(confidence),
             source=obj["source"],
-            active=bool(obj.get("active", True)),
+            active=active,
         )
 
 
@@ -440,7 +479,7 @@ class Thresholds:
 
     def __post_init__(self):
         for label, value in (("min_support", self.min_support), ("min_confidence", self.min_confidence)):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not is_number(value):
                 raise ValueError(f"{label} must be a number")
             if not (0.0 < float(value) <= 1.0):
                 raise ValueError(f"{label} must lie in (0, 1], got {value}")

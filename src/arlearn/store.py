@@ -30,6 +30,13 @@ A torn trailing record in an append log is dropped with a warning on
 open. Opening writes nothing; the torn record is cut from the file just
 before the store's first append to it, so later appends start on a clean
 line.
+
+Opening decodes each nonempty line with the JSON scanner alone; a line
+is a record exactly when ``json.loads`` accepts it on its own. Each
+distinct value is built once: an application's two row logs share one
+``TrainingRow`` per distinct line text, and the rules of one open share
+one ``ItemSet`` per distinct stored itemset. Both are immutable, so
+sharing changes no later operation.
 """
 
 from __future__ import annotations
@@ -42,11 +49,11 @@ import shutil
 import tempfile
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .engine import AppContext, GcoRecord
 from .errors import EngineError
-from .model import Rule, TrainingRow, is_key
+from .model import ItemSet, Rule, TrainingRow, is_key, is_number
 
 logger = logging.getLogger(__name__)
 
@@ -100,8 +107,32 @@ def _size(path: Path) -> int:
         return 0
 
 
-def _read_log(path: Path, torn_tails: Optional[dict[Path, int]] = None) -> list[dict]:
-    """Parse a JSON-lines log.
+# the scanner json.loads ends in, without its whitespace and end-of-text checks
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode(line: str) -> object:
+    """``json.loads(line)``; a line that is one record and nothing else is only scanned."""
+    try:
+        record, end = _scan_once(line, 0)
+    except StopIteration:
+        return json.loads(line)  # leading whitespace, or no record at all
+    return record if end == len(line) else json.loads(line)
+
+
+def _read_log(
+    path: Path,
+    torn_tails: Optional[dict[Path, int]] = None,
+    build: Callable[[object], object] = lambda record: record,
+    built: Optional[dict[str, object]] = None,
+) -> list:
+    """Parse a JSON-lines log into ``build(record)`` for each record, in order.
+
+    A nonempty line is a record exactly when ``json.loads`` accepts it
+    alone. Each distinct line text is decoded and built once: ``built``
+    maps the texts seen so far to their value, and a later line with the
+    same text gets the same object. The key is the text, never the
+    decoded record, whose ``1``, ``1.0`` and ``true`` compare equal.
 
     With ``torn_tails``, a torn trailing record is dropped and the byte
     length of the intact records is noted under ``path``; the file is
@@ -109,25 +140,31 @@ def _read_log(path: Path, torn_tails: Optional[dict[Path, int]] = None) -> list[
     """
     if not path.exists():
         return []
-    raw = path.read_text(encoding="utf-8")
-    records: list[dict] = []
-    lines = raw.split("\n")
+    if built is None:
+        built = {}
+    values: list = []
+    lines = path.read_text(encoding="utf-8").split("\n")
     for number, line in enumerate(lines, start=1):
-        if not line.strip():
+        if line in built:
+            values.append(built[line])
+            continue
+        if not line or line.isspace():
             continue
         try:
-            records.append(json.loads(line))
+            record = _decode(line)
         except json.JSONDecodeError as exc:
             is_last = all(not later.strip() for later in lines[number:])
             if torn_tails is not None and is_last:
                 logger.warning("dropping torn trailing record in %s (line %d)", path, number)
                 intact = "".join(kept + "\n" for kept in lines[: number - 1])
                 torn_tails[path] = len(intact.encode("utf-8"))
-                return records
+                return values
             raise EngineError(
                 "corrupt-meta", f"{path}: malformed record at line {number}"
             ) from exc
-    return records
+        value = built[line] = build(record)
+        values.append(value)
+    return values
 
 
 def _replay(ctx: AppContext, journal: list[dict]) -> None:
@@ -142,9 +179,10 @@ def _replay(ctx: AppContext, journal: list[dict]) -> None:
             i = ctx.rule_position(record["rule"])
             if i is None:
                 raise ValueError(f"feedback for a rule not in the snapshot: {record['rule']!r}")
-            ctx.rules[i] = replace(
-                ctx.rules[i], confidence=record["confidence"], active=record["active"]
-            )
+            confidence, active = record["confidence"], record["active"]
+            if not is_number(confidence) or not isinstance(active, bool):
+                raise ValueError(f"feedback needs a number and a boolean, got {confidence!r}, {active!r}")
+            ctx.rules[i] = replace(ctx.rules[i], confidence=confidence, active=active)
             ctx.last_gco = None
         else:
             raise ValueError(f"unknown journal record {record['op']!r}")
@@ -164,11 +202,13 @@ class Store:
     # -- loading -------------------------------------------------------
 
     def _load_all(self) -> None:
+        # one itemset per distinct stored object over the whole open: few itemsets recur across many rules
+        itemsets: dict[tuple, ItemSet] = {}
         for child in sorted(self.root.iterdir()):
             if child.is_dir() and is_key(child.name):
-                self._contexts[child.name] = self._load_context(child)
+                self._contexts[child.name] = self._load_context(child, itemsets)
 
-    def _load_context(self, app_dir: Path) -> AppContext:
+    def _load_context(self, app_dir: Path, itemsets: dict[tuple, ItemSet]) -> AppContext:
         meta_path = app_dir / META_FILE
         try:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -177,14 +217,13 @@ class Store:
         except (OSError, ValueError) as exc:
             raise EngineError("corrupt-meta", f"{meta_path}: {exc}") from exc
         torn = self._torn_tails
-        row_records = _read_log(app_dir / ROWS_FILE, torn)
-        quarantine_records = _read_log(app_dir / QUARANTINE_FILE, torn)
-        rule_records = _read_log(app_dir / RULES_FILE)
-        journal = _read_log(app_dir / JOURNAL_FILE, torn)
+        # one row per distinct line text of the two row logs
+        rows_built: dict[str, TrainingRow] = {}
         try:
-            rows = [TrainingRow.from_dict(r) for r in row_records]
-            quarantine = [TrainingRow.from_dict(r) for r in quarantine_records]
-            rules = [Rule.from_dict(r) for r in rule_records]
+            rows = _read_log(app_dir / ROWS_FILE, torn, TrainingRow.from_dict, rows_built)
+            quarantine = _read_log(app_dir / QUARANTINE_FILE, torn, TrainingRow.from_dict, rows_built)
+            rules = _read_log(app_dir / RULES_FILE, build=lambda record: Rule.from_dict(record, itemsets))
+            journal = _read_log(app_dir / JOURNAL_FILE, torn)
             ctx = AppContext.from_state(meta, rows, quarantine, rules)
             _replay(ctx, journal)
         except (KeyError, ValueError, TypeError) as exc:
