@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import daemon, mining, syslearn
+from . import daemon, mining
 from .engine import Engine
 from .errors import EngineError
 from .model import (
@@ -112,6 +112,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from . import syslearn  # only replay and gen-trace need it; serve starts without
+
     try:
         binning = syslearn.BinningConfig.load(Path(args.bins))
         events = syslearn.parse_trace(Path(args.trace))
@@ -138,6 +140,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_gen_trace(args) -> int:
+    from . import syslearn
+
     try:
         syslearn.generate_trace(Path(args.spec), args.seed, args.len, Path(args.out))
     except FileNotFoundError as exc:

@@ -3,33 +3,44 @@
 Trees split on the input attribute with the highest information gain
 (ties broken by schema declaration order) and stop on pure partitions,
 attribute exhaustion, or empty partitions. Rows with a null value for the
-split attribute follow a dedicated null branch. Root-to-leaf paths become
-rules scored against the training data; paths through a null branch are
-not expressible as itemsets and are skipped.
+split attribute follow a dedicated null branch. Weights are counted on
+``mining._Tidsets``: a node is a row mask, and its classes and a split's
+parts are that mask ANDed with value tidsets (the null branch takes the
+rest). Entropy terms are summed in the order each class or part first
+appears among the rows, as a row scan would, so near-ties resolve alike.
+Root-to-leaf paths become rules counted off their leaves; paths through a
+null branch are not expressible as itemsets and are skipped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
+from functools import reduce
+from operator import or_
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import EngineError
 from .mining import MiningStats, _Tidsets, meets_threshold
-from .model import INPUT, OUTPUT, Dataset, Item, ItemSet, Rule, Schema, Thresholds, TrainingRow
+from .model import INPUT, OUTPUT, Dataset, Item, ItemSet, Rule, Schema, Thresholds
 
 
 def entropy(class_counts: Mapping[str, float]) -> float:
     """Shannon entropy in bits of a class-count distribution."""
+    return _entropy(list(class_counts.values()))
+
+
+def _entropy(counts: Sequence[float]) -> float:
+    """``entropy`` with its terms summed in the order of ``counts``."""
     total = 0.0
-    for count in class_counts.values():
+    for count in counts:
         if count < 0:
             raise ValueError("class counts must be nonnegative")
         total += count
     if total <= 0:
         raise EngineError("all-zero-counts", "entropy needs at least one counted example")
     h = 0.0
-    for count in class_counts.values():
+    for count in counts:
         if count > 0:
             p = count / total
             h -= p * math.log2(p)
@@ -56,43 +67,29 @@ class Split:
 DecisionNode = Union[Leaf, Split]
 
 
-def _class_counts(rows: Iterable[TrainingRow], target: str) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for row in rows:
-        value = row.outputs[target]
-        counts[value] = counts.get(value, 0) + row.weight
-    return counts
+def _branches(v: _Tidsets, attribute: str, domain: Sequence[str]) -> list[int]:
+    """The rows holding each domain value of ``attribute``, then the rows where it is null."""
+    masks = [v.tidset((Item(attribute, value),)) for value in domain]
+    return masks + [v.all_rows & ~reduce(or_, masks, 0)]
 
 
-def _majority(counts: Mapping[str, int], domain: Sequence[str]) -> str:
-    """Heaviest class; ties resolve to the earliest value in the target's domain."""
-    best = None
-    best_weight = -1
-    for value in domain:
-        weight = counts.get(value, 0)
-        if weight > best_weight:
-            best, best_weight = value, weight
-    assert best is not None
-    return best
+def _first_seen(masks: Iterable[int]) -> list[int]:
+    """The nonempty disjoint masks, ordered by the first row each holds."""
+    return sorted(filter(None, masks), key=lambda m: m & -m)
 
 
-def _partition(
-    rows: Iterable[TrainingRow], attribute: str
-) -> dict[Optional[str], list[TrainingRow]]:
-    parts: dict[Optional[str], list[TrainingRow]] = {}
-    for row in rows:
-        parts.setdefault(row.inputs.get(attribute), []).append(row)
-    return parts
+def _class_entropy(v: _Tidsets, rows: int, classes: Sequence[int]) -> float:
+    """Entropy of the classes among ``rows``, summed in first-seen order."""
+    return _entropy([v.count(m) for m in _first_seen(rows & c for c in classes)])
 
 
-def _gain(rows: Collection[TrainingRow], attribute: str, target: str) -> float:
-    total = sum(r.weight for r in rows)
-    base = entropy(_class_counts(rows, target))
+def _gain(v: _Tidsets, rows: int, branches: Sequence[int], classes: Sequence[int]) -> float:
+    """Information gain of splitting ``rows`` along ``branches``, parts in first-seen order."""
+    total = v.count(rows)
     weighted = 0.0
-    for part in _partition(rows, attribute).values():
-        part_weight = sum(r.weight for r in part)
-        weighted += (part_weight / total) * entropy(_class_counts(part, target))
-    gain = base - weighted
+    for part in _first_seen(rows & b for b in branches):
+        weighted += (v.count(part) / total) * _class_entropy(v, part, classes)
+    gain = _class_entropy(v, rows, classes) - weighted
     return gain if gain > 0.0 else 0.0  # clamp float residue
 
 
@@ -114,7 +111,9 @@ def information_gain(data: Dataset, attribute: str, target: Optional[str] = None
     if spec is None or spec.kind != INPUT:
         raise EngineError("unknown-attribute", f"{attribute!r} is not a declared input attribute")
     target = _resolve_target(data.schema, target)
-    return _gain(data, attribute, target)
+    v = _Tidsets(data)
+    classes = _branches(v, target, data.schema.domain_of(target))[:-1]  # outputs are never null
+    return _gain(v, v.all_rows, _branches(v, attribute, spec.domain), classes)
 
 
 def id3_build(data: Dataset, schema: Optional[Schema] = None, target: Optional[str] = None) -> DecisionNode:
@@ -127,36 +126,33 @@ def id3_build(data: Dataset, schema: Optional[Schema] = None, target: Optional[s
     schema = schema if schema is not None else data.schema
     if not len(data):
         raise EngineError("empty-dataset", "cannot build a tree from an empty dataset")
-    target_name = _resolve_target(schema, target)
-    target_domain = schema.domain_of(target_name)
+    return _id3_build(_Tidsets(data), schema, _resolve_target(schema, target))
 
-    def build(rows: Collection[TrainingRow], available: tuple[str, ...], fallback: str) -> DecisionNode:
+
+def _id3_build(v: _Tidsets, schema: Schema, target: str) -> DecisionNode:
+    """``id3_build``'s recursion over row masks of a nonempty layout."""
+    domain = schema.domain_of(target)
+    classes = _branches(v, target, domain)[:-1]  # outputs are never null
+    branches = {a: _branches(v, a, schema.domain_of(a)) for a in schema.input_names}
+
+    def build(rows: int, available: tuple[str, ...], fallback: str) -> DecisionNode:
         if not rows:
             return Leaf(fallback, ())
-        counts = _class_counts(rows, target_name)
-        sorted_counts = tuple(sorted(counts.items()))
-        nonzero = [v for v, c in counts.items() if c > 0]
-        if len(nonzero) == 1:
-            return Leaf(nonzero[0], sorted_counts)
-        majority = _majority(counts, target_domain)
-        if not available:
-            return Leaf(majority, sorted_counts)
-        best_attr = available[0]
-        best_gain = -1.0
-        for attr in available:  # declaration order; strict > keeps earliest on ties
-            gain = _gain(rows, attr, target_name)
-            if gain > best_gain:
-                best_attr, best_gain = attr, gain
+        counts = {c: v.count(rows & m) for c, m in zip(domain, classes) if rows & m}
+        majority = max(domain, key=lambda c: counts.get(c, 0))  # ties: earliest in the domain
+        if len(counts) == 1 or not available:  # pure, or no attribute left
+            return Leaf(majority, tuple(sorted(counts.items())))
+        # declaration order; max keeps the earliest on ties
+        best_attr = max(available, key=lambda a: _gain(v, rows, branches[a], classes))
         remaining = tuple(a for a in available if a != best_attr)
-        parts = _partition(rows, best_attr)
+        *parts, null = (rows & b for b in branches[best_attr])
         children = tuple(
-            (value, build(parts.get(value, []), remaining, majority))
-            for value in schema.domain_of(best_attr)
+            (value, build(part, remaining, majority))
+            for value, part in zip(schema.domain_of(best_attr), parts)
         )
-        null_child = build(parts.get(None, []), remaining, majority)
-        return Split(best_attr, children, null_child)
+        return Split(best_attr, children, build(null, remaining, majority))
 
-    return build(data, schema.input_names, _majority(_class_counts(data, target_name), target_domain))
+    return build(v.all_rows, schema.input_names, domain[0])  # the root is never empty
 
 
 def id3_rules(
@@ -169,32 +165,31 @@ def id3_rules(
     """Turn root-to-leaf paths into rules scored against the data.
 
     The antecedent is the path's value conditions and the consequent the
-    leaf class; support and confidence are counted on the dataset's
-    tidsets, the path's rows narrowed one branch at a time, and rules
-    below either threshold are dropped. Paths with an empty
+    leaf class. ``tree`` must have been built from ``data``: a leaf
+    reached through value branches holds exactly the rows of its path,
+    so its class counts give the rule's count and the antecedent's.
+    Rules below either threshold are dropped. Paths with an empty
     antecedent or passing through a null branch are skipped.
     """
     target_name = _resolve_target(data.schema, target)
-    vertical = _Tidsets(data)
+    total = data.total_weight()
     rules: set[Rule] = set()
 
-    def walk(node: DecisionNode, path: tuple[Item, ...], rows: int) -> None:
+    def walk(node: DecisionNode, path: tuple[Item, ...]) -> None:
         if isinstance(node, Leaf):
-            if not path:
+            counts = dict(node.class_counts)
+            rule_count = counts.get(node.klass, 0)
+            if not path or rule_count == 0:
                 return
-            consequent = ItemSet((Item(target_name, node.klass),))
-            rule_count = vertical.count(rows & vertical.tidset(consequent))
-            if rule_count == 0:
-                return
-            ant_count = vertical.count(rows)
-            if meets_threshold(rule_count, vertical.total, thresholds.min_support) and meets_threshold(
+            ant_count = sum(counts.values())
+            if meets_threshold(rule_count, total, thresholds.min_support) and meets_threshold(
                 rule_count, ant_count, thresholds.min_confidence
             ):
                 rules.add(
                     Rule(
                         antecedent=ItemSet(path),
-                        consequent=consequent,
-                        support=rule_count / vertical.total,
+                        consequent=ItemSet((Item(target_name, node.klass),)),
+                        support=rule_count / total,
                         confidence=rule_count / ant_count,
                         source="id3",
                     )
@@ -203,11 +198,10 @@ def id3_rules(
                     stats.rules_emitted += 1
             return
         for value, child in node.children:
-            item = Item(node.attribute, value)
-            walk(child, path + (item,), rows & vertical.tidset((item,)))
+            walk(child, path + (Item(node.attribute, value),))
         # null branch: "attribute is null" has no itemset form, so no rules
 
-    walk(tree, (), vertical.all_rows)
+    walk(tree, ())
     return rules
 
 

@@ -467,24 +467,24 @@ def mine(
 ) -> tuple[set[Rule], MiningStats]:
     """Run one of ``ALGORITHMS`` over a dataset: threshold-passing rules plus stats.
 
-    The vertical layout is built once; ``maxminer`` shares it between
-    ``max_miner`` and ``expand_maximal``. Rules come back unordered, and
-    each caller sorts them its own way.
+    The vertical layout is built once and shared: by ``max_miner`` and
+    ``expand_maximal``, and by the ID3 trees of every output attribute.
+    Rules come back unordered, and each caller sorts them its own way.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")
     if not len(dataset):
         raise EngineError("empty-training-data", "the training data set is empty")
     stats = MiningStats()
+    v = _Tidsets(dataset)
     if algorithm == "id3":
-        from .id3 import id3_build, id3_rules  # id3 imports this module
+        from .id3 import _id3_build, id3_rules  # id3 imports this module
 
         rules: set[Rule] = set()
         for target in dataset.schema.output_names:
-            tree = id3_build(dataset, dataset.schema, target)
+            tree = _id3_build(v, dataset.schema, target)
             rules |= id3_rules(tree, dataset, thresholds, target, stats)
         return rules, stats
-    v = _Tidsets(dataset)
     min_support = thresholds.min_support
     if algorithm == "apriori":
         family = _apriori(v, min_support, stats)

@@ -266,10 +266,9 @@ def bin_state(state: Mapping[str, object], binning: BinningConfig) -> dict[str, 
 
 @dataclass(frozen=True)
 class ReplayPolicy:
-    """When to regenerate rules while replaying; 1 regenerates per row."""
+    """Remine every ``regenerate_every`` rows (1: per row), and after the last row if any wait."""
 
     regenerate_every: int = 1
-    final_regenerate: bool = True
 
     def __post_init__(self):
         if self.regenerate_every < 1:
@@ -403,7 +402,7 @@ def replay(
             engine.generate_rules(key, thresholds, algorithm)
             rows_pending = 0
 
-    if rows_pending and policy.final_regenerate:
+    if rows_pending:
         engine.generate_rules(key, thresholds, algorithm)
 
     report.rules = list(ctx.rules)

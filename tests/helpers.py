@@ -3,8 +3,10 @@
 import os
 import random
 from pathlib import Path
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 import arlearn
+from arlearn.id3 import DecisionNode, Leaf, Split, entropy
 from arlearn.model import AttributeSchema, Dataset, Schema, TrainingRow
 
 
@@ -50,6 +52,83 @@ def random_dataset(rng: random.Random, max_rows: int = 200, min_rows: int = 1) -
         labels = {a.name: rng.choice(a.domain) for a in outputs}
         rows.append(TrainingRow(bound, labels, rng.randint(1, 3)))
     return Dataset(schema, rows)
+
+
+# -- reference ID3: row lists rescanned at every node ----------------------
+
+
+def _class_counts(rows: Iterable[TrainingRow], target: str) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for row in rows:
+        value = row.outputs[target]
+        counts[value] = counts.get(value, 0) + row.weight
+    return counts
+
+
+def _majority(counts: Mapping[str, int], domain: Sequence[str]) -> str:
+    """Heaviest class; ties resolve to the earliest value in the target's domain."""
+    best = None
+    best_weight = -1
+    for value in domain:
+        weight = counts.get(value, 0)
+        if weight > best_weight:
+            best, best_weight = value, weight
+    assert best is not None
+    return best
+
+
+def _partition(
+    rows: Iterable[TrainingRow], attribute: str
+) -> dict[Optional[str], list[TrainingRow]]:
+    parts: dict[Optional[str], list[TrainingRow]] = {}
+    for row in rows:
+        parts.setdefault(row.inputs.get(attribute), []).append(row)
+    return parts
+
+
+def naive_gain(rows: Collection[TrainingRow], attribute: str, target: str) -> float:
+    """Information gain from row lists; classes and parts summed in first-seen order."""
+    total = sum(r.weight for r in rows)
+    base = entropy(_class_counts(rows, target))
+    weighted = 0.0
+    for part in _partition(rows, attribute).values():
+        part_weight = sum(r.weight for r in part)
+        weighted += (part_weight / total) * entropy(_class_counts(part, target))
+    gain = base - weighted
+    return gain if gain > 0.0 else 0.0  # clamp float residue
+
+
+def naive_id3_build(data: Dataset, schema: Schema, target_name: str) -> DecisionNode:
+    """``id3_build`` by partitioning and recounting row lists at every node."""
+    target_domain = schema.domain_of(target_name)
+
+    def build(rows: Collection[TrainingRow], available: tuple[str, ...], fallback: str) -> DecisionNode:
+        if not rows:
+            return Leaf(fallback, ())
+        counts = _class_counts(rows, target_name)
+        sorted_counts = tuple(sorted(counts.items()))
+        nonzero = [v for v, c in counts.items() if c > 0]
+        if len(nonzero) == 1:
+            return Leaf(nonzero[0], sorted_counts)
+        majority = _majority(counts, target_domain)
+        if not available:
+            return Leaf(majority, sorted_counts)
+        best_attr = available[0]
+        best_gain = -1.0
+        for attr in available:  # declaration order; strict > keeps earliest on ties
+            gain = naive_gain(rows, attr, target_name)
+            if gain > best_gain:
+                best_attr, best_gain = attr, gain
+        remaining = tuple(a for a in available if a != best_attr)
+        parts = _partition(rows, best_attr)
+        children = tuple(
+            (value, build(parts.get(value, []), remaining, majority))
+            for value in schema.domain_of(best_attr)
+        )
+        null_child = build(parts.get(None, []), remaining, majority)
+        return Split(best_attr, children, null_child)
+
+    return build(data, schema.input_names, _majority(_class_counts(data, target_name), target_domain))
 
 
 def planted_long_pattern(rng: random.Random) -> Dataset:

@@ -15,6 +15,7 @@ from arlearn.id3 import (
     id3_rules,
     information_gain,
 )
+from arlearn.mining import _Tidsets, mine
 from arlearn.model import (
     AttributeSchema,
     Dataset,
@@ -24,6 +25,8 @@ from arlearn.model import (
     Thresholds,
     TrainingRow,
 )
+
+from helpers import naive_gain, naive_id3_build, random_dataset
 
 # direct evaluation of -sum(p * log2(p)) for counts {3, 2}
 ENTROPY_3_2 = 0.9709505944546686
@@ -224,3 +227,70 @@ class TestId3Rules:
         # the null partition is learnable but not expressible as an itemset
         assert all(r.antecedent != ItemSet() for r in rules)
         assert {r.antecedent for r in rules} == {ItemSet([Item("headphones", "yes")])}
+
+
+class TestReferenceTrees:
+    """Trees and gains equal the row-list reference bit for bit.
+
+    The reference sums entropy terms over classes and parts in the order
+    each first appears among a node's rows, so near-ties between
+    attributes resolve the same way in both.
+    """
+
+    @staticmethod
+    def check(data: Dataset) -> None:
+        for target in data.schema.output_names:
+            assert id3_build(data, data.schema, target) == naive_id3_build(data, data.schema, target)
+            for attribute in data.schema.input_names:
+                assert information_gain(data, attribute, target) == naive_gain(data, attribute, target)
+
+    def test_small_datasets(self):
+        for seed in range(2000):
+            self.check(random_dataset(random.Random(seed), max_rows=40))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_large_datasets(self, seed):
+        self.check(random_dataset(random.Random(seed), max_rows=800, min_rows=500))
+
+
+class TestOneLayout:
+    @pytest.fixture
+    def built(self, monkeypatch) -> list:
+        """Every ``_Tidsets`` constructed while the test runs."""
+        calls = []
+        init = _Tidsets.__init__
+
+        def counting(self, data):
+            calls.append(data)
+            init(self, data)
+
+        monkeypatch.setattr(_Tidsets, "__init__", counting)
+        return calls
+
+    @pytest.fixture
+    def two_outputs(self) -> Dataset:
+        schema = Schema(
+            [
+                AttributeSchema("a", "input", ("0", "1")),
+                AttributeSchema("b", "input", ("0", "1")),
+                AttributeSchema("x", "output", ("0", "1")),
+                AttributeSchema("y", "output", ("0", "1")),
+            ]
+        )
+        rows = [
+            TrainingRow({"a": a, "b": b}, {"x": a, "y": b}, 1 + (a == b))
+            for a in "01"
+            for b in "01"
+        ]
+        return Dataset(schema, rows + [TrainingRow({"a": "1"}, {"x": "0", "y": "1"})])
+
+    def test_mine_shares_one_layout_across_outputs(self, built, two_outputs):
+        rules, _ = mine(two_outputs, Thresholds(0.1, 0.5), "id3")
+        assert {r.consequent.attributes() for r in rules} == {("x",), ("y",)}
+        assert len(built) == 1
+
+    def test_rules_read_leaf_counts(self, built, two_outputs):
+        tree = id3_build(two_outputs, two_outputs.schema, "x")
+        built.clear()
+        assert id3_rules(tree, two_outputs, Thresholds(0.1, 0.5), "x")
+        assert built == []

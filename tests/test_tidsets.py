@@ -1,7 +1,8 @@
 """Support counting on the vertical layout, and ``mining.mine``, against naive recounts.
 
-Every count the miners and ``id3_rules`` make goes through one tidset
-kernel. These tests hold it to a row-by-row weighted scan, to the
+Every count the miners and ``id3_build`` make goes through one tidset
+kernel, and ``id3_rules`` reads its counts off the tree's leaves. These
+tests hold both to a row-by-row weighted scan, to the
 ``brute_force_frequent`` oracle, and to exact ``Fraction`` threshold
 comparisons at their boundaries.
 """
