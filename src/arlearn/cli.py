@@ -20,6 +20,7 @@ from .model import (
     Schema,
     Thresholds,
     TrainingRow,
+    decode_line,
     parse_attribute_literal,
 )
 from .store import open_store
@@ -69,7 +70,7 @@ def load_data_file(path: Path) -> Dataset:
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         try:
-            obj = json.loads(line)
+            obj = decode_line(line)
         except json.JSONDecodeError as exc:
             raise EngineError("malformed-line", f"{path}:{number}: {exc}") from exc
         if schema is None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import socketserver
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
@@ -170,7 +171,7 @@ def _snapshot(store: Store, ctx: AppContext, saved: AppContext) -> None:
 
 def _appended_rows(store: Store, ctx: AppContext, saved: AppContext) -> None:
     """The rows past the checkpoint's, plus the snapshot if automated mode remined."""
-    store.append_rows(ctx.key, ctx.dataset.rows[len(saved.dataset):])
+    store.append_rows(ctx.key, islice(ctx.dataset, len(saved.dataset), None))
     if ctx.generation_epoch != saved.generation_epoch:
         store.persist_context(ctx)
 

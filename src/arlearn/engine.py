@@ -16,6 +16,13 @@ to rules): per attribute, the rules leaving it unbound and, per value,
 the rules binding it to that value. Building the index costs several
 scans, so a generation queried once is never indexed. The index is
 dropped when the epoch moves.
+
+Each context keeps its last apriori search (``ctx.search``) for
+``mining.remine``, which continues it while its rows are a prefix of the
+dataset's, so a remine after appended rows (automated mode, replay)
+updates the last search. Deletes, migrations and rollbacks need not drop
+it: the prefix check sees them. A search is stored only once its mine has
+completed and never changes, so a checkpoint may share it.
 """
 
 from __future__ import annotations
@@ -202,6 +209,7 @@ class AppContext:
         "generation_epoch",
         "lock",
         "_index",
+        "search",
     )
 
     def __init__(self, key: str, name: str):
@@ -218,6 +226,7 @@ class AppContext:
         self.generation_epoch = 0
         self.lock = threading.RLock()
         self._index: Optional[_RuleIndex] = None
+        self.search: Optional[mining.AprioriSearch] = None  # the last apriori mine's, to continue
 
     def _rule_index(self) -> _RuleIndex:
         index = self._index
@@ -442,8 +451,11 @@ class Engine:
     def _regenerate(self, ctx: AppContext, config: Optional[GenerationConfig] = None) -> None:
         config = config if config is not None else ctx.config
         assert config is not None
-        rules, _ = mining.mine(self._dataset(ctx), config.thresholds, config.algorithm)
+        rules, _, search = mining.remine(
+            self._dataset(ctx), config.thresholds, config.algorithm, ctx.search
+        )
         ctx.config = config
+        ctx.search = search
         ctx.new_generation(sorted(rules, key=_match_order))
         ctx.rules_generated = True
 

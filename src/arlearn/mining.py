@@ -26,6 +26,17 @@ frequent id tuple. The public ``apriori``, ``max_miner``,
 ``expand_maximal`` and ``derive_rules`` wrap the same cores: they build
 ``FrequentItemSet`` objects with the checking constructor, or intern
 them back into ids, for tests, the benchmark and the oracle.
+
+A carried search (FUP: Cheung et al., ICDE 1996). ``remine`` is ``mine``
+that also takes and returns an ``AprioriSearch``. It continues the search
+when the dataset's first rows are the search's rows under the same
+``min_support``: the layout grows by one bit per appended row, ``_apriori``
+updates the counts, and ``_derive`` reuses a carried rule's itemsets and
+identity. Otherwise the search starts from empty, the same code as a
+fresh mine. A search is a pure function of its rows and ``min_support``
+and never changes, so that check is its whole validity, and no caller
+needs an invalidation hook. Rules are derived under the current schema
+each time.
 """
 
 from __future__ import annotations
@@ -33,12 +44,24 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, groupby
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from operator import and_
+from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import EngineError
-from .model import INPUT, OUTPUT, RULE_SOURCES, Dataset, Item, ItemSet, Rule, Schema, Thresholds
+from .model import (
+    INPUT,
+    OUTPUT,
+    RULE_SOURCES,
+    Dataset,
+    Item,
+    ItemSet,
+    Rule,
+    Schema,
+    Thresholds,
+    TrainingRow,
+)
 
 ALGORITHMS = RULE_SOURCES
 MAX_ORACLE_ITEMS = 20
@@ -52,11 +75,32 @@ Family = dict[tuple[int, ...], int]
 
 @dataclass
 class MiningStats:
-    """Run telemetry: how much work a mining pass did."""
+    """Run telemetry: how much work a mining pass did.
+
+    ``candidates_generated`` counts the candidates counted on the whole
+    layout; a continued apriori search counts the rest over the appended
+    rows alone (see ``_apriori``).
+    """
 
     candidates_generated: int = 0
     support_counting_passes: int = 0
     rules_emitted: int = 0
+
+
+@dataclass(frozen=True)
+class AprioriSearch:
+    """A finished apriori search, for ``remine`` to continue on a longer history.
+
+    A pure function of ``rows`` and ``min_support``: nothing in it changes
+    after it is built, so whoever keeps one may keep an older one too.
+    """
+
+    rows: list[TrainingRow]  # the dataset rows searched, in order
+    min_support: float
+    tidsets: _Tidsets  # the layout of ``rows``
+    frequent: list[list[tuple[int, ...]]]  # per level, the frequent sets' sorted keys
+    counts: list[Family]  # per level, the counts of the frequent sets and the negative border
+    rules: dict[tuple[int, ...], Rule]  # the emitted rules by id tuple
 
 
 @dataclass(frozen=True)
@@ -122,7 +166,8 @@ class _Tidsets:
 
     Row ``r`` is bit ``r``. ``items[i]`` is the item with id ``i`` and
     ``rows[i]`` its tidset; ids ascend in ``Item`` order. ``classes``
-    holds one ``(weight, row mask)`` pair per distinct row weight.
+    holds one ``(weight, row mask)`` pair per distinct row weight. A
+    layout is never changed once built: ``grown`` makes a longer one.
     """
 
     def __init__(self, data: TransactionSource):
@@ -137,14 +182,48 @@ class _Tidsets:
         order = sorted(tidsets)
         self.items = [Item(*pair) for pair in order]
         self.ids = {item: i for i, item in enumerate(self.items)}
-        self.rows = [tidsets[pair] for pair in order]
-        self.classes = sorted(classes.items())
-        self.all_rows = bit - 1
-        self.total = self.count(self.all_rows)
+        self._fill([tidsets[pair] for pair in order], classes, bit - 1)
 
-    def count(self, rows: int) -> int:
-        """Weighted support of a set of rows."""
-        return sum(w * (rows & members).bit_count() for w, members in self.classes)
+    def _fill(self, rows: list[int], classes: dict[int, int], all_rows: int) -> None:
+        self.rows = rows
+        self.classes = sorted(classes.items())
+        self.all_rows = all_rows
+        self.count = self.counter()
+        self.total = self.count(all_rows)
+
+    def counter(self, shift: int = 0) -> Callable[[int], int]:
+        """Weighted support of a set of rows, given as a mask over rows ``shift`` on, shifted down.
+
+        ``counter()`` is ``count``. With one weight class in range a count
+        is one ``bit_count``, since every mask counted is a subset of the
+        rows.
+        """
+        classes = [(w, members >> shift) for w, members in self.classes if members >> shift]
+        if len(classes) == 1:
+            weight = classes[0][0]
+            return int.bit_count if weight == 1 else lambda rows: weight * rows.bit_count()
+        return lambda rows: sum(w * (rows & members).bit_count() for w, members in classes)
+
+    def grown(self, rows: Sequence[TrainingRow]) -> Optional["_Tidsets"]:
+        """This layout with ``rows`` appended as its next bits; None if they bring a new item.
+
+        The new layout shares ``items`` and ``ids``; this one is unchanged.
+        """
+        tidsets = list(self.rows)
+        classes = dict(self.classes)
+        bit = self.all_rows + 1
+        for row in rows:
+            for pair in (*row.inputs.items(), *row.outputs.items()):
+                i = self.ids.get(pair)  # an Item is a tuple, so the pair finds it
+                if i is None:
+                    return None
+                tidsets[i] |= bit
+            classes[row.weight] = classes.get(row.weight, 0) | bit
+            bit <<= 1
+        grown = object.__new__(_Tidsets)
+        grown.items, grown.ids = self.items, self.ids
+        grown._fill(tidsets, classes, bit - 1)
+        return grown
 
     def tidset(self, items: Iterable[Item]) -> int:
         """The rows holding every one of ``items``; none if one never occurs."""
@@ -195,45 +274,90 @@ def apriori(
     support meets ``min_support``, with exact counts.
     """
     v = _vertical(data, empty_ok=False)
-    return v.freeze(_apriori(v, min_support, stats if stats is not None else MiningStats()))
+    return v.freeze(_apriori(v, min_support, stats if stats is not None else MiningStats())[0])
 
 
-def _apriori(v: _Tidsets, min_support: float, stats: MiningStats) -> Family:
-    """``apriori``'s search over ids: every frequent id tuple with its count."""
-    stats.candidates_generated += len(v.items)
-    stats.support_counting_passes += 1
+def _apriori(
+    v: _Tidsets, min_support: float, stats: MiningStats, last: Optional[AprioriSearch] = None
+) -> tuple[Family, list[list[tuple[int, ...]]], list[Family]]:
+    """``apriori``'s search over ids: every frequent id tuple with its count.
+
+    Also returns, per level, the frequent sets' sorted keys and the count
+    of every candidate counted (the frequent sets and the negative
+    border). With ``last``, the same search over ``v``'s first
+    ``len(last.rows)`` rows under the same ids, the search continues it
+    (FUP): a candidate ``last`` counted has its old count plus its count
+    over the appended rows, from tidsets over those rows alone, and a
+    level whose frequent keys are ``last``'s reuses ``last``'s next
+    candidates without the join. Only a candidate never counted is
+    counted on the whole layout, and only those add to
+    ``candidates_generated``; with no ``last`` that is every candidate.
+    """
+    shift = len(last.rows) if last is not None else 0
+    frequent_before = last.frequent if last is not None else []
+    counts_before = last.counts if last is not None else []
+    p, q = threshold_ratio(min_support)
+    need = p * v.total
     attribute = [item.attribute for item in v.items]
+    # tidsets over the rows past ``shift``; with no old rows, the whole layout
+    appended = [rows >> shift for rows in v.rows] if shift else v.rows
+    count_appended = v.counter(shift)
 
     result: Family = {}
-    level: dict[tuple[int, ...], int] = {}  # frequent k-set -> its tidset
-    for i, rows in enumerate(v.rows):
-        count = v.count(rows)
-        if meets_threshold(count, v.total, min_support):
-            result[(i,)] = count
-            level[(i,)] = rows
-
-    while level:
-        candidates: list[tuple[int, ...]] = []
-        for _, group in groupby(sorted(level), key=lambda t: t[:-1]):
-            for left, right in combinations(group, 2):
-                if attribute[left[-1]] == attribute[right[-1]]:
-                    continue  # one value per attribute
-                cand = left + (right[-1],)
-                if all(cand[:k] + cand[k + 1 :] in level for k in range(len(cand) - 1)):
-                    candidates.append(cand)
-        if not candidates:
-            break
-        stats.candidates_generated += len(candidates)
+    frequent: list[list[tuple[int, ...]]] = []
+    counts: list[Family] = []
+    level: dict[tuple[int, ...], int] = {(): v.all_rows >> shift}  # frequent set -> appended tidset
+    candidates: Iterable[tuple[int, ...]] = [(i,) for i in range(len(v.items))]
+    while True:
+        k = len(counts)
+        before = counts_before[k] if k < len(counts_before) else {}
         stats.support_counting_passes += 1
+        counted: Family = {}
         next_level: dict[tuple[int, ...], int] = {}
         for cand in candidates:
-            rows = level[cand[:-1]] & v.rows[cand[-1]]
-            count = v.count(rows)
-            if meets_threshold(count, v.total, min_support):
+            rows = level[cand[:-1]] & appended[cand[-1]]
+            count = before.get(cand)
+            if count is None:  # never counted: count it on the whole layout
+                stats.candidates_generated += 1
+                count = v.count(reduce(and_, map(v.rows.__getitem__, cand)) if shift else rows)
+            elif rows:
+                count += count_appended(rows)
+            counted[cand] = count
+            if count * q >= need:
                 result[cand] = count
                 next_level[cand] = rows
+        keys = sorted(next_level)
+        frequent.append(keys)
+        counts.append(counted)
         level = next_level
-    return result
+        if k + 1 < len(counts_before) and keys == frequent_before[k]:
+            candidates = counts_before[k + 1]  # iterated for its keys, never changed
+        else:
+            candidates = _join(keys, level, attribute)
+        if not candidates:
+            return result, frequent, counts
+
+
+def _join(
+    keys: list[tuple[int, ...]], level: Container[tuple[int, ...]], attribute: list[str]
+) -> list[tuple[int, ...]]:
+    """The next level's candidates from the frequent sets ``keys``, sorted, and ``level``.
+
+    Joins two frequent k-sets that share their first k-1 ids, unless their
+    last items bind one attribute; a candidate is kept only if every one
+    of its k-subsets is frequent.
+    """
+    candidates: list[tuple[int, ...]] = []
+    for prefix, group in groupby(keys, key=lambda t: t[:-1]):
+        # dropping either of the last two ids leaves a joined set, so only the prefix's are checked
+        drops = range(len(prefix))
+        for left, right in combinations(group, 2):
+            if attribute[left[-1]] == attribute[right[-1]]:
+                continue  # one value per attribute
+            cand = left + (right[-1],)
+            if not drops or all(cand[:k] + cand[k + 1 :] in level for k in drops):
+                candidates.append(cand)
+    return candidates
 
 
 def max_miner(
@@ -401,20 +525,25 @@ def _derive(
     min_confidence: float,
     stats: Optional[MiningStats],
     source: str,
-) -> set[Rule]:
+    previous: Mapping[tuple[int, ...], Rule] = {},
+) -> dict[tuple[int, ...], Rule]:
     """The one rule derivation, over an id family whose ids ascend in ``Item`` order.
 
     ``items[i]`` is id ``i``'s item and ``support(ids)`` the support of a
-    member of ``family``. Objects are built only for emitted rules.
+    member of ``family``. Returns the emitted rules by id tuple. Objects
+    are built only for emitted rules, and a rule whose id tuple is in
+    ``previous`` (rules derived under the same ``items``) takes that
+    rule's itemsets and identity instead of building them again.
     """
     kind = {a.name: a.kind for a in schema.attributes}
     role = [kind.get(item.attribute) for item in items]
+    p, q = threshold_ratio(min_confidence)
 
     def itemset(ids: tuple[int, ...]) -> ItemSet:
         # any subsequence of a frequent id tuple is sorted and binds each attribute once
         return ItemSet._canonical(tuple(items[i] for i in ids))
 
-    rules: set[Rule] = set()
+    rules: dict[tuple[int, ...], Rule] = {}
     for ids, count in family.items():
         ant = tuple([i for i in ids if role[i] == INPUT])
         cons = tuple([i for i in ids if role[i] == OUTPUT])
@@ -426,11 +555,14 @@ def _derive(
         if ant_count is None:
             missing = ItemSet(items[i] for i in ant)
             raise ValueError(f"frequent family is not downward closed: missing {missing!r}")
-        if meets_threshold(count, ant_count, min_confidence):
-            rules.add(
-                Rule._mined(
-                    itemset(ids), itemset(ant), itemset(cons), support(ids), count / ant_count, source
-                )
+        if count * q >= p * ant_count:  # meets_threshold(count, ant_count, min_confidence)
+            last = previous.get(ids)
+            if last is None:
+                antecedent, consequent, identity = itemset(ant), itemset(cons), itemset(ids).encode()
+            else:
+                antecedent, consequent, identity = last.antecedent, last.consequent, last.identity
+            rules[ids] = Rule._mined(
+                antecedent, consequent, support(ids), count / ant_count, source, identity
             )
             if stats is not None:
                 stats.rules_emitted += 1
@@ -459,7 +591,8 @@ def derive_rules(
         key = tuple(ids[item] for item in fis.items)
         family[key] = fis.support_count
         supports[key] = fis.support
-    return _derive(items, family, supports.__getitem__, schema, min_confidence, stats, source)
+    rules = _derive(items, family, supports.__getitem__, schema, min_confidence, stats, source)
+    return set(rules.values())
 
 
 def mine(
@@ -471,26 +604,53 @@ def mine(
     ``expand_maximal``, and by the ID3 trees of every output attribute.
     Rules come back unordered, and each caller sorts them its own way.
     """
+    rules, stats, _ = remine(dataset, thresholds, algorithm)
+    return set(rules), stats
+
+
+def remine(
+    dataset: Dataset,
+    thresholds: Thresholds,
+    algorithm: str,
+    last: Optional[AprioriSearch] = None,
+) -> tuple[list[Rule], MiningStats, Optional[AprioriSearch]]:
+    """``mine``, continuing the apriori search ``last``; also returns the search to continue next.
+
+    The rules come back as an unordered list. Maxminer and ID3 mine from
+    scratch and return no search. ``last`` is continued only under the
+    same ``min_support`` when its rows are the dataset's first rows,
+    compared with ``==``, which passes over identical row objects without
+    comparing them. Otherwise (rows deleted, cleared or migrated), or when
+    an appended row brings an item ``last`` never saw and so would
+    renumber the ids, the search starts from empty.
+    """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")
     if not len(dataset):
         raise EngineError("empty-training-data", "the training data set is empty")
     stats = MiningStats()
-    v = _Tidsets(dataset)
     if algorithm == "id3":
         from .id3 import _id3_build, id3_rules  # id3 imports this module
 
+        v = _Tidsets(dataset)
         rules: set[Rule] = set()
         for target in dataset.schema.output_names:
             tree = _id3_build(v, dataset.schema, target)
             rules |= id3_rules(tree, dataset, thresholds, target, stats)
-        return rules, stats
+        return list(rules), stats, None
     min_support = thresholds.min_support
     if algorithm == "apriori":
-        family = _apriori(v, min_support, stats)
+        rows = list(dataset)
+        v = None
+        if last is not None and last.min_support == min_support and rows[: len(last.rows)] == last.rows:
+            v = last.tidsets.grown(rows[len(last.rows) :])
+        if v is None:
+            last, v = None, _Tidsets(dataset)
+        family, frequent, counts = _apriori(v, min_support, stats, last)
     else:
+        last, v = None, _Tidsets(dataset)
         family = _expand_maximal(v, _max_miner(v, min_support, stats), min_support)
-    rules = _derive(
+    derived = _derive(
         v.items,
         family,
         lambda ids: family[ids] / v.total,
@@ -498,5 +658,8 @@ def mine(
         thresholds.min_confidence,
         stats,
         algorithm,
+        last.rules if last is not None else {},
     )
-    return rules, stats
+    if algorithm != "apriori":
+        return list(derived.values()), stats, None
+    return list(derived.values()), stats, AprioriSearch(rows, min_support, v, frequent, counts, derived)

@@ -36,6 +36,21 @@ _ATTR_LITERAL_RE = re.compile(r"^([^:{},\s]+):(input|output):\{([^{}\s]*)\}$")
 
 # ItemSet.encode's encoder, built once: json.dumps with these arguments builds one per call
 _ITEMS_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+# the scanner json.loads ends in, without its whitespace and end-of-text checks
+_scan_once = json.JSONDecoder().scan_once
+
+
+def decode_line(line: str) -> object:
+    """``json.loads(line)``, raising what it raises.
+
+    A line that is one record and nothing else is only scanned, which
+    skips ``json.loads``' whitespace and end-of-text passes.
+    """
+    try:
+        record, end = _scan_once(line, 0)
+    except (StopIteration, TypeError):
+        return json.loads(line)  # leading whitespace, no record at all, or not text
+    return record if end == len(line) else json.loads(line)
 
 
 def new_key() -> str:
@@ -437,16 +452,19 @@ class Rule:
     @classmethod
     def _mined(
         cls,
-        whole: ItemSet,
         antecedent: ItemSet,
         consequent: ItemSet,
         support: float,
         confidence: float,
         source: str,
+        identity: str,
     ) -> "Rule":
-        """A rule whose antecedent∪consequent is ``whole``; its identity is encoded from ``whole``."""
+        """A rule built by the checking constructor whose identity is already known.
+
+        ``identity`` must be the encoding of antecedent∪consequent.
+        """
         rule = cls(antecedent, consequent, support, confidence, source)
-        rule.__dict__["identity"] = whole.encode()  # fills the cached_property
+        rule.__dict__["identity"] = identity  # fills the cached_property
         return rule
 
     @classmethod

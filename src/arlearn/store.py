@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from .engine import AppContext, GcoRecord
 from .errors import EngineError
-from .model import ItemSet, Rule, TrainingRow, is_key, is_number
+from .model import ItemSet, Rule, TrainingRow, decode_line, is_key, is_number
 
 logger = logging.getLogger(__name__)
 
@@ -107,19 +107,6 @@ def _size(path: Path) -> int:
         return 0
 
 
-# the scanner json.loads ends in, without its whitespace and end-of-text checks
-_scan_once = json.JSONDecoder().scan_once
-
-
-def _decode(line: str) -> object:
-    """``json.loads(line)``; a line that is one record and nothing else is only scanned."""
-    try:
-        record, end = _scan_once(line, 0)
-    except StopIteration:
-        return json.loads(line)  # leading whitespace, or no record at all
-    return record if end == len(line) else json.loads(line)
-
-
 def _read_log(
     path: Path,
     torn_tails: Optional[dict[Path, int]] = None,
@@ -151,7 +138,7 @@ def _read_log(
         if not line or line.isspace():
             continue
         try:
-            record = _decode(line)
+            record = decode_line(line)
         except json.JSONDecodeError as exc:
             is_last = all(not later.strip() for later in lines[number:])
             if torn_tails is not None and is_last:

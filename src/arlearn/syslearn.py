@@ -28,6 +28,7 @@ from .model import (
     Schema,
     Thresholds,
     TrainingRow,
+    decode_line,
 )
 
 SENSOR = "sensor"
@@ -56,17 +57,17 @@ def parse_trace(source: Union[str, Path, Iterable[str]]) -> list[TraceEvent]:
     events: list[TraceEvent] = []
     last_t = None
     for number, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line or line.isspace():  # ``not line.strip()``, without the copy
             continue
         try:
-            obj = json.loads(line)
+            obj = decode_line(line)
             t = obj["t"]
             if not isinstance(t, (int, float)) or isinstance(t, bool):
                 raise ValueError("t must be a number")
-            kinds = [k for k in (SENSOR, ACTION) if k in obj]
-            if len(kinds) != 1:
+            kind = SENSOR if SENSOR in obj else ACTION
+            if (SENSOR in obj) == (ACTION in obj):
                 raise ValueError("exactly one of 'sensor'/'action' required")
-            body = obj[kinds[0]]
+            body = obj[kind]
             name = body["name"]
             value = body["value"]
             if not isinstance(name, str) or not name:
@@ -78,7 +79,7 @@ def parse_trace(source: Union[str, Path, Iterable[str]]) -> list[TraceEvent]:
                 "timestamp-regression", f"line {number}: {t} after {last_t}"
             )
         last_t = t
-        events.append(TraceEvent(t, kinds[0], name, value))
+        events.append(TraceEvent(t, kind, name, value))
     return events
 
 

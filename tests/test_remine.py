@@ -1,0 +1,202 @@
+"""Remining an append-only history continues the last apriori search.
+
+Each gate compares with a fresh ``mining.mine`` of a copy of the rows, so
+a search continued when its rows are not a prefix of the dataset's, or a
+layout changed under a search still held, shows as a wrong rule or a
+wrong count.
+"""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import arlearn.store as store_module
+from arlearn import mining
+from arlearn.daemon import dispatch
+from arlearn.engine import Engine, _match_order
+from arlearn.model import AttributeSchema, Dataset, Schema, Thresholds, TrainingRow
+from arlearn.store import open_store
+
+OUTPUTS = ["o:output:{m,n}"]
+# a base schema, one that adds an attribute no row binds (the rows stay
+# equal), and one that drops a column (the rows change)
+SCHEMAS = [
+    ["a:input:{x,y,z}", "b:input:{x,y}", "c:input:{p,q}"],
+    ["a:input:{x,y,z}", "b:input:{x,y}", "c:input:{p,q}", "d:input:{u,v}"],
+    ["a:input:{x,y,z}", "b:input:{x,y}"],
+]
+ALGORITHMS = ["apriori"] * 4 + ["maxminer", "id3"]
+
+
+def rendered(rules) -> list:
+    return [(r.to_dict(), r.identity) for r in rules]
+
+
+def fresh_mine(schema: Schema, rows, thresholds: Thresholds, algorithm: str) -> tuple[list, mining.MiningStats]:
+    """``mine`` over new row objects equal to ``rows``, its rules in match order."""
+    copy = Dataset.restore(schema, [TrainingRow(r.inputs, r.outputs, r.weight) for r in rows])
+    rules, stats = mining.mine(copy, thresholds, algorithm)
+    return sorted(rules, key=_match_order), stats
+
+
+def check_generation(engine: Engine, key: str) -> None:
+    ctx = engine.context(key)
+    want, _ = fresh_mine(ctx.schema, ctx.dataset, ctx.config.thresholds, ctx.config.algorithm)
+    assert rendered(ctx.rules) == rendered(want)
+
+
+def no_space(*args):
+    raise OSError(28, "No space left on device")
+
+
+def row_dict(data, schema: Schema, weights=st.just(1)) -> dict:
+    inputs = {}
+    for name in schema.input_names:
+        value = data.draw(st.none() | st.sampled_from(schema.domain_of(name)))
+        if value is not None:
+            inputs[name] = value
+    outputs = {name: data.draw(st.sampled_from(schema.domain_of(name))) for name in schema.output_names}
+    return {"inputs": inputs, "outputs": outputs, "weight": data.draw(weights)}
+
+
+def request(data, engine: Engine, key: str) -> tuple[str, dict]:
+    """One keyed request, drawn for the application's current schema."""
+    schema = engine.context(key).schema
+    verb = data.draw(
+        st.sampled_from(
+            ["set_training_data_row"] * 5
+            + ["generate_rules"] * 3
+            + ["delete_training_data_row", "delete_training_data_row", "set_generation_mode"]
+            + ["load_training_data", "delete_training_data", "change_inputs_outputs"]
+        )
+    )
+    if verb == "set_training_data_row":
+        return verb, {"row": row_dict(data, schema)}
+    if verb == "load_training_data":
+        rows = data.draw(st.integers(1, 4))
+        return verb, {"rows": [row_dict(data, schema, st.integers(1, 3)) for _ in range(rows)]}
+    if verb == "generate_rules":
+        return verb, {
+            "min_support": data.draw(st.sampled_from([0.1] * 6 + [0.05, 0.3])),
+            "min_confidence": data.draw(st.sampled_from([0.5, 0.8])),
+            "algorithm": data.draw(st.sampled_from(ALGORITHMS)),
+        }
+    if verb == "delete_training_data_row":
+        name = data.draw(st.sampled_from(schema.input_names))
+        match = {name: data.draw(st.sampled_from(schema.domain_of(name)))}
+        return verb, {"match": match, "mode": data.draw(st.sampled_from(["first", "all"]))}
+    if verb == "change_inputs_outputs":
+        return verb, {"inputs": data.draw(st.sampled_from(SCHEMAS)), "outputs": OUTPUTS}
+    if verb == "set_generation_mode":
+        return verb, {"mode": data.draw(st.sampled_from(["automated", "manual"]))}
+    return verb, {}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_remined_rules_equal_a_fresh_mine_after_every_generation(data):
+    engine = Engine()
+    with tempfile.TemporaryDirectory() as root:
+        store = open_store(Path(root))
+
+        def call(verb, params, key=None):
+            return dispatch({"request": verb, "id": 1, "key": key, "params": params}, engine, store)
+
+        key = call("register_app", {"name": "app"})["result"]["key"]
+        assert call("set_input_output", {"inputs": SCHEMAS[0], "outputs": OUTPUTS}, key)["ok"]
+        for _ in range(data.draw(st.integers(10, 50))):
+            verb, params = request(data, engine, key)
+            if data.draw(st.integers(0, 5)) == 0:
+                # a store write fails (the first, or an automated insert's snapshot after
+                # its rows) and memory goes back to its checkpoint; then the request is
+                # sent again, or another one in its place
+                failing = data.draw(st.sampled_from(["_append", "_atomic_write"]))
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(store_module, failing, no_space)
+                    call(verb, params, key)
+                if data.draw(st.booleans()):
+                    verb, params = request(data, engine, key)
+            ctx = engine.context(key)
+            epoch = ctx.generation_epoch
+            call(verb, params, key)
+            if ctx.rules_generated and ctx.generation_epoch != epoch:
+                check_generation(engine, key)
+
+
+SCHEMA = Schema(
+    [
+        AttributeSchema("a", "input", ("x", "y")),
+        AttributeSchema("b", "input", ("x", "y")),
+        AttributeSchema("c", "input", ("p", "q")),
+        AttributeSchema("o", "output", ("m", "n")),
+    ]
+)
+ROWS = [
+    TrainingRow({"a": a, "b": b, "c": c}, {"o": o})
+    for a, b, c, o in [
+        ("x", "x", "p", "m"),
+        ("x", "y", "p", "m"),
+        ("y", "x", "q", "n"),
+        ("x", "x", "q", "m"),
+        ("y", "y", "p", "n"),
+        ("x", "x", "p", "m"),
+        ("y", "x", "p", "n"),
+        ("x", "y", "q", "m"),
+        ("x", "x", "p", "n"),
+        ("y", "y", "q", "n"),
+    ]
+]
+
+
+def test_a_continued_search_counts_on_the_layout_only_what_it_never_counted():
+    thresholds = Thresholds(0.2, 0.6)
+    dataset = Dataset(SCHEMA, ROWS[:6])
+    steps = [
+        lambda: None,  # a fresh search counts every candidate
+        lambda: dataset.extend(ROWS[6:7]),
+        lambda: dataset.extend(ROWS[7:8]),
+        lambda: None,  # no new rows: every count is carried
+        # as many rows as before, but not a prefix any more: searched again from empty
+        lambda: (dataset.remove_at([0]), dataset.extend(ROWS[8:9])),
+        lambda: dataset.extend(ROWS[9:10]),
+    ]
+    counted = []
+    search = None
+    for n, step in enumerate(steps):
+        step()
+        rules, stats, search = mining.remine(dataset, thresholds, "apriori", search)
+        want, fresh = fresh_mine(SCHEMA, dataset, thresholds, "apriori")
+        assert rendered(sorted(rules, key=_match_order)) == rendered(want)
+        if n in (0, 4):
+            assert stats == fresh
+        counted.append(stats.candidates_generated)
+    assert counted == [37, 4, 6, 0, 46, 10]
+
+
+def test_a_refused_automated_insert_leaves_the_search_it_continued(tmp_path, monkeypatch):
+    engine, store = Engine(), open_store(tmp_path)
+
+    def call(verb, params, key=None):
+        return dispatch({"request": verb, "id": 1, "key": key, "params": params}, engine, store)
+
+    key = call("register_app", {"name": "app"})["result"]["key"]
+    assert call("set_input_output", {"inputs": SCHEMAS[0], "outputs": OUTPUTS}, key)["ok"]
+    rows = [
+        {"inputs": {"a": a, "b": b, "c": c}, "outputs": {"o": o}}
+        for a, b, c, o in [("x", "y", "p", "m"), ("y", "x", "q", "n"), ("x", "x", "p", "n")]
+    ]
+    assert call("load_training_data", {"rows": rows}, key)["ok"]
+    assert call("generate_rules", {"min_support": 0.1, "min_confidence": 0.5}, key)["ok"]
+    assert call("set_generation_mode", {"mode": "automated"}, key)["ok"]
+    search = engine.context(key).search
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "_atomic_write", no_space)  # the snapshot after the row
+        # a row of items the search has seen, so that it continues rather than restarts
+        refused = {"row": {"inputs": {"a": "y", "b": "y", "c": "q"}, "outputs": {"o": "m"}}}
+        assert not call("set_training_data_row", refused, key)["ok"]
+    assert engine.context(key).search is search
+    assert call("set_training_data_row", {"row": rows[0]}, key)["ok"]
+    check_generation(engine, key)
