@@ -10,12 +10,15 @@ query holds that comes first in ``_match_order``: highest confidence,
 then support, then longest antecedent, then identity. A generation of
 rules (one ``generation_epoch``) keeps every rule at its position in
 ``ctx.rules``; feedback replaces a rule in place and never reorders the
-list. The first query of a generation scans every rule. Later queries
-use a bitmask index over rule positions (Zaki's vertical tidsets, applied
-to rules): per attribute, the rules leaving it unbound and, per value,
-the rules binding it to that value. Building the index costs several
-scans, so a generation queried once is never indexed. The index is
-dropped when the epoch moves.
+list. A mined generation is stored in match order, so the list order
+does the ranking: the first active, unmoved match in the list is only
+compared with the matching rules feedback may have moved out of order.
+The first query of a generation scans the list until that match. Later
+queries use a bitmask index over rule positions (Zaki's vertical
+tidsets, applied to rules): per attribute, the rules leaving it unbound
+and, per value, the rules binding it to that value. Building the index
+costs several scans, so a generation queried once is never indexed. The
+index is dropped when the epoch moves.
 
 Each context keeps its last apriori search (``ctx.search``) for
 ``mining.remine``, which continues it while its rows are a prefix of the
@@ -30,7 +33,9 @@ from __future__ import annotations
 import json
 import threading
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import mining
@@ -130,6 +135,39 @@ def _match_order(rule: Rule) -> tuple:
     return (-rule.confidence, -rule.support, -len(rule.antecedent), rule.identity)
 
 
+def _out_of_order(rules: Sequence[Rule]) -> int:
+    """A mask of the positions outside one longest run of ``rules`` in ``_match_order``.
+
+    A list already in order gives 0 after one pass that builds identities
+    only where confidence, support and antecedent length tie. Otherwise
+    the run is found by patience sorting, in O(n log n).
+    """
+    coarse = [(-r.confidence, -r.support, -len(r.antecedent)) for r in rules]
+    pairs = zip(coarse, islice(coarse, 1, None), rules, islice(rules, 1, None))
+    if all(a < b or a == b and x.identity <= y.identity for a, b, x, y in pairs):
+        return 0
+    tails: list[int] = []  # tails[k]: where the least-keyed run of length k + 1 found so far ends
+    tail_keys: list[tuple] = []
+    before = [-1] * len(rules)  # the position ahead of each in its run
+    for position, rule in enumerate(rules):
+        key = _match_order(rule)
+        k = bisect_right(tail_keys, key)
+        if k:
+            before[position] = tails[k - 1]
+        if k == len(tails):
+            tails.append(position)
+            tail_keys.append(key)
+        else:
+            tails[k] = position
+            tail_keys[k] = key
+    moved = (1 << len(rules)) - 1
+    position = tails[-1]
+    while position >= 0:
+        moved ^= 1 << position
+        position = before[position]
+    return moved
+
+
 class _RuleIndex:
     """Lookups by position in one generation's ``ctx.rules``.
 
@@ -138,40 +176,55 @@ class _RuleIndex:
     ``epoch`` moves; ``AppContext.restore`` puts back the rules and the
     index together. It keeps positions and identity strings, never a
     ``Rule``.
+
+    ``moved`` masks the positions that may be out of ``_match_order``; the
+    rules outside it are in match order, so among them the first active
+    match in the list wins, and only the matching rules in ``moved`` can
+    beat it. A superset is safe and only costs time. A mined generation
+    starts at 0; an index over restored rules has None until its first
+    query computes it with ``_out_of_order``. ``AppContext.set_rule`` sets
+    the bit of each rule it replaces once ``moved`` is known; a checkpoint
+    shares the index, so a rolled-back change leaves its bit set.
     """
 
-    __slots__ = ("epoch", "queries", "unbound", "bound", "positions")
+    __slots__ = ("epoch", "queries", "unbound", "bound", "positions", "moved")
 
-    def __init__(self, epoch: int):
+    def __init__(self, epoch: int, moved: Optional[int] = None):
         self.epoch = epoch
         self.queries = 0
         # the masks are built on the generation's second query
         self.unbound: dict[str, int] = {}  # attribute -> rules leaving it unbound
         self.bound: dict[str, dict[str, int]] = {}  # attribute -> value -> rules binding it
         self.positions: Optional[dict[str, int]] = None  # identity -> position
+        self.moved = moved
 
     def best_match(self, rules: Sequence[Rule], query: ItemSet) -> Optional[Rule]:
         self.queries += 1
+        moved = self.moved
+        if moved is None:
+            moved = self.moved = _out_of_order(rules)
+        best = None
         if self.queries == 1:
-            matches = (r for r in rules if r.active and r.antecedent.issubset(query))
-            return min(matches, key=_match_order, default=None)
+            for position, rule in enumerate(rules):
+                if rule.active and not moved >> position & 1 and rule.antecedent.issubset(query):
+                    best = rule
+                    break
+            return _rank(rules, best, moved, query)
         if self.queries == 2:
             self._build(rules)
         values = query.as_mapping()
         candidates = (1 << len(rules)) - 1
         for attribute, by_value in self.bound.items():
             candidates &= self.unbound[attribute] | by_value.get(values.get(attribute), 0)
-        best = best_key = None
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
+        unmoved = candidates & ~moved
+        while unmoved:
+            low = unmoved & -unmoved
             rule = rules[low.bit_length() - 1]
-            # a rule of lower confidence cannot come first, so its key is not built
-            if rule.active and (best is None or rule.confidence >= best.confidence):
-                key = _match_order(rule)
-                if best is None or key < best_key:
-                    best, best_key = rule, key
-        return best
+            if rule.active:
+                best = rule
+                break
+            unmoved ^= low
+        return _rank(rules, best, candidates & moved)
 
     def _build(self, rules: Sequence[Rule]) -> None:
         for position, rule in enumerate(rules):
@@ -190,6 +243,31 @@ class _RuleIndex:
         if self.positions is None:
             self.positions = {rule.identity: i for i, rule in enumerate(rules)}
         return self.positions.get(rule_id)
+
+
+def _rank(
+    rules: Sequence[Rule], best: Optional[Rule], mask: int, query: Optional[ItemSet] = None
+) -> Optional[Rule]:
+    """``best`` or the active rule at a position in ``mask`` that comes first in ``_match_order``.
+
+    With ``query``, only the rules whose antecedent it holds compete;
+    without, every rule in ``mask`` is known to match.
+    """
+    if not mask:
+        return best
+    best_key = _match_order(best) if best is not None else None
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        rule = rules[low.bit_length() - 1]
+        # a rule of lower confidence cannot come first, so its key is not built
+        if not rule.active or best is not None and rule.confidence < best.confidence:
+            continue
+        if query is None or rule.antecedent.issubset(query):
+            key = _match_order(rule)
+            if best is None or key < best_key:
+                best, best_key = rule, key
+    return best
 
 
 class AppContext:
@@ -242,6 +320,13 @@ class AppContext:
         """The position in ``rules`` of the rule with identity ``rule_id``, if it is there."""
         return self._rule_index().position(self.rules, rule_id)
 
+    def set_rule(self, position: int, rule: Rule) -> None:
+        """Put ``rule``, which keeps the antecedent and identity of the one there, at ``position``."""
+        self.rules[position] = rule
+        index = self._rule_index()
+        if index.moved is not None:
+            index.moved |= 1 << position
+
     def checkpoint(self) -> "AppContext":
         """A copy of this context for ``restore``.
 
@@ -263,10 +348,10 @@ class AppContext:
             setattr(self, slot, getattr(saved, slot))
 
     def new_generation(self, rules: list[Rule]) -> None:
-        """Replace the rules with a new generation: the epoch moves and the index goes."""
+        """Replace the rules with a new generation, given in ``_match_order``: the epoch moves and the index goes."""
         self.rules = rules
         self.generation_epoch += 1
-        self._index = None
+        self._index = _RuleIndex(self.generation_epoch, moved=0)
 
     def state_dict(self) -> dict:
         """Context metadata as one JSON-able object (rows/rules live in logs)."""
@@ -506,7 +591,7 @@ class Engine:
             confidence = min(max(confidence, self.feedback.floor), self.feedback.ceiling)
             assert ctx.config is not None
             active = not (confidence < ctx.config.thresholds.min_confidence)
-            ctx.rules[index] = replace(rule, confidence=confidence, active=active)
+            ctx.set_rule(index, replace(rule, confidence=confidence, active=active))
             ctx.last_gco = None
             return confidence
 

@@ -169,7 +169,7 @@ def _replay(ctx: AppContext, journal: list[dict]) -> None:
             confidence, active = record["confidence"], record["active"]
             if not is_number(confidence) or not isinstance(active, bool):
                 raise ValueError(f"feedback needs a number and a boolean, got {confidence!r}, {active!r}")
-            ctx.rules[i] = replace(ctx.rules[i], confidence=confidence, active=active)
+            ctx.set_rule(i, replace(ctx.rules[i], confidence=confidence, active=active))
             ctx.last_gco = None
         else:
             raise ValueError(f"unknown journal record {record['op']!r}")

@@ -7,7 +7,9 @@ order, with each identity recomputed from the rule's itemsets.
 
 import gc
 import random
+import tempfile
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import arlearn.store as store_module
 from arlearn.daemon import dispatch
-from arlearn.engine import AppContext, Engine, context_fingerprint
+from arlearn.engine import AppContext, Engine, _match_order, _out_of_order, context_fingerprint
 from arlearn.errors import EngineError
 from arlearn.model import AttributeSchema, Item, ItemSet, Rule, Schema, Thresholds, new_key
 from arlearn.store import open_store
@@ -232,16 +234,20 @@ def count_calls(monkeypatch, cls, name):
 
 
 def test_first_query_of_a_generation_scans_and_later_ones_use_the_index(served, monkeypatch):
+    """A mined generation is in match order: the first query stops at its first active match."""
     engine, _, key = served
-    rules = len(engine.context(key).rules)
+    query = ItemSet.from_mapping(QUERIES[0])
     scanned = count_calls(monkeypatch, ItemSet, "issubset")
     for _ in range(2):
+        rules = engine.context(key).rules
+        first = next(i for i, r in enumerate(rules) if r.active and r.antecedent.issubset(query))
+        assert first + 1 < len(rules)
         scanned[0] = 0
         engine.get_current_output(key, QUERIES[0])
-        assert scanned[0] == rules
-        for query in QUERIES:
-            engine.get_current_output(key, query)
-        assert scanned[0] == rules
+        assert scanned[0] == first + 1
+        for later in QUERIES:
+            engine.get_current_output(key, later)
+        assert scanned[0] == first + 1
         engine.generate_rules(key, Thresholds(0.2, MIN_CONFIDENCE), "apriori")
 
 
@@ -275,3 +281,87 @@ def test_a_remine_lets_the_old_generation_go(served):
     engine.generate_rules(key, Thresholds(0.2, MIN_CONFIDENCE), "apriori")
     gc.collect()
     assert all(ref() is None for ref in old)
+
+
+def longest_run(keys: list) -> int:
+    """The length of a longest non-decreasing subsequence, by the quadratic recurrence."""
+    ends = []
+    for i, key in enumerate(keys):
+        ends.append(1 + max((ends[j] for j in range(i) if keys[j] <= key), default=0))
+    return max(ends, default=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_out_of_order_leaves_a_longest_run_in_match_order(seed):
+    rng = random.Random(seed)
+    rules = random_rule_context(rng).rules
+    keys = [_match_order(r) for r in rules]
+    assert _out_of_order(sorted(rules, key=_match_order)) == 0
+    moved = _out_of_order(rules)
+    assert moved >> len(rules) == 0
+    kept = [key for position, key in enumerate(keys) if not moved >> position & 1]
+    assert kept == sorted(kept)
+    assert len(kept) == longest_run(keys)
+
+
+def check_served_query(engine: Engine, store, key: str, query: dict) -> None:
+    """Ask through ``dispatch`` and compare with a scan of a copy of the rules."""
+    want = expected(list(engine.context(key).rules), ItemSet.from_mapping(query))
+    got = ok(call(engine, store, "get_current_output", key, inputs=query))
+    assert got.get("rule_id") == (identity_of(want) if want is not None else None)
+
+
+def failing(path, text):
+    raise OSError(28, "No space left on device")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_served_answers_equal_a_scan_through_reopens_rollbacks_and_remines(seed):
+    """Queries, feedback, snapshots, reopens with journal replay, failed writes and remines, in random order."""
+    rng = random.Random(seed)
+    dataset = random_dataset(rng, min_rows=5, max_rows=40)
+    literals_in, literals_out = dataset.schema.to_literals()
+
+    def remine():
+        params = {
+            "min_support": rng.choice([0.05, 0.1, 0.2]),
+            "min_confidence": rng.choice([0.3, MIN_CONFIDENCE]),
+            "algorithm": rng.choice(["apriori", "maxminer", "id3"]),
+        }
+        ok(call(engine, store, "generate_rules", key, **params))
+
+    with tempfile.TemporaryDirectory() as root:
+        engine, store = Engine(), open_store(root)
+        key = ok(call(engine, store, "register_app", name="app"))["key"]
+        ok(call(engine, store, "set_input_output", key, inputs=literals_in, outputs=literals_out))
+        ok(call(engine, store, "load_training_data", key, rows=[r.to_dict() for r in dataset.rows]))
+        remine()
+        for _ in range(rng.randint(10, 60)):
+            step = rng.random()
+            ctx = engine.context(key)
+            # feedback after a remine would rightly be refused as rule-evicted
+            pending = ctx.last_gco is not None and ctx.last_gco.epoch == ctx.generation_epoch
+            if step < 0.45:
+                check_served_query(engine, store, key, random_query(rng, dataset.schema))
+            elif step < 0.75:
+                if pending:
+                    ok(call(engine, store, "send_feedback_last_gco", key, verdict=rng.choice(["positive", "negative"])))
+            elif step < 0.85:
+                if rng.random() < 0.5:
+                    store.persist_context(ctx)  # else the reopen replays the journal
+                store = open_store(root)
+                engine = Engine.restore(store.contexts().values())
+            elif step < 0.95:
+                before = context_fingerprint(ctx)
+                with mock.patch.object(store_module, "_append", failing):
+                    if pending:
+                        response = call(engine, store, "send_feedback_last_gco", key, verdict="negative")
+                    else:
+                        query = random_query(rng, dataset.schema)
+                        response = call(engine, store, "get_current_output", key, inputs=query)
+                assert response["error"]["code"] == "io-error"
+                assert context_fingerprint(engine.context(key)) == before
+            else:
+                remine()
