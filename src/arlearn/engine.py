@@ -23,8 +23,9 @@ index is dropped when the epoch moves.
 Each context keeps its last apriori search (``ctx.search``) for
 ``mining.remine``, which continues it while its rows are a prefix of the
 dataset's, so a remine after appended rows (automated mode, replay)
-updates the last search. Deletes, migrations and rollbacks need not drop
-it: the prefix check sees them. A search is stored only once its mine has
+counts only the appended rows' subsets and judges again only the rules
+they touch. Deletes, migrations and rollbacks need not drop it: the
+prefix check sees them. A search is stored only once its mine has
 completed and never changes, so a checkpoint may share it.
 """
 

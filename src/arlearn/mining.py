@@ -28,15 +28,17 @@ frequent id tuple. The public ``apriori``, ``max_miner``,
 them back into ids, for tests, the benchmark and the oracle.
 
 A carried search (FUP: Cheung et al., ICDE 1996). ``remine`` is ``mine``
-that also takes and returns an ``AprioriSearch``. It continues the search
-when the dataset's first rows are the search's rows under the same
-``min_support``: the layout grows by one bit per appended row, ``_apriori``
-updates the counts, and ``_derive`` reuses a carried rule's itemsets and
-identity. Otherwise the search starts from empty, the same code as a
-fresh mine. A search is a pure function of its rows and ``min_support``
-and never changes, so that check is its whole validity, and no caller
-needs an invalidation hook. Rules are derived under the current schema
-each time.
+that also takes and returns an ``AprioriSearch``: the rows mined, the
+thresholds and schema, their layout, the frequent family and the emitted
+rules. It continues the search when the dataset's first rows are the
+search's rows under the same ``min_support``: the layout grows by one bit
+per appended row, and ``_delta`` counts only the appended rows' subsets
+and judges again only the rules they touch, carrying every other set and
+rule. Otherwise, or when the appended rows have more subsets than the
+family has sets, apriori searches from empty, the same code as a fresh
+mine. A search is a pure function of its rows, thresholds and schema and
+never changes, so that check is its whole validity, and no caller needs
+an invalidation hook.
 """
 
 from __future__ import annotations
@@ -44,9 +46,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, groupby
-from operator import and_
 from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import EngineError
@@ -77,9 +78,11 @@ Family = dict[tuple[int, ...], int]
 class MiningStats:
     """Run telemetry: how much work a mining pass did.
 
-    ``candidates_generated`` counts the candidates counted on the whole
-    layout; a continued apriori search counts the rest over the appended
-    rows alone (see ``_apriori``).
+    ``candidates_generated`` counts the itemsets counted on the layout and
+    ``rules_emitted`` every rule returned. A remine that continues an
+    apriori search (see ``remine``) counts as candidates the appended
+    rows' subsets, in one pass if any row was appended, and as emitted
+    rules the carried ones too.
     """
 
     candidates_generated: int = 0
@@ -89,17 +92,19 @@ class MiningStats:
 
 @dataclass(frozen=True)
 class AprioriSearch:
-    """A finished apriori search, for ``remine`` to continue on a longer history.
+    """A finished apriori mine, for ``remine`` to continue on a longer history.
 
-    A pure function of ``rows`` and ``min_support``: nothing in it changes
-    after it is built, so whoever keeps one may keep an older one too.
+    A pure function of its rows and the thresholds and schema it was mined
+    under: nothing in it changes after it is built, so whoever keeps one
+    may keep an older one too.
     """
 
     rows: list[TrainingRow]  # the dataset rows searched, in order
     min_support: float
+    min_confidence: float
+    schema: Schema  # the schema the rules were derived under
     tidsets: _Tidsets  # the layout of ``rows``
-    frequent: list[list[tuple[int, ...]]]  # per level, the frequent sets' sorted keys
-    counts: list[Family]  # per level, the counts of the frequent sets and the negative border
+    family: Family  # every frequent set with its count
     rules: dict[tuple[int, ...], Rule]  # the emitted rules by id tuple
 
 
@@ -188,42 +193,40 @@ class _Tidsets:
         self.rows = rows
         self.classes = sorted(classes.items())
         self.all_rows = all_rows
-        self.count = self.counter()
+        # with one weight class a count is one bit_count, since every mask counted is a subset of the rows
+        if len(self.classes) == 1:
+            weight = self.classes[0][0]
+            self.count = int.bit_count if weight == 1 else lambda rows: weight * rows.bit_count()
+        else:
+            weighted = self.classes
+            self.count = lambda rows: sum(w * (rows & members).bit_count() for w, members in weighted)
         self.total = self.count(all_rows)
 
-    def counter(self, shift: int = 0) -> Callable[[int], int]:
-        """Weighted support of a set of rows, given as a mask over rows ``shift`` on, shifted down.
+    def grown(self, rows: Sequence[TrainingRow]) -> Optional[tuple["_Tidsets", list[tuple[int, ...]]]]:
+        """This layout with ``rows`` appended as its next bits, and each row's ascending id tuple.
 
-        ``counter()`` is ``count``. With one weight class in range a count
-        is one ``bit_count``, since every mask counted is a subset of the
-        rows.
-        """
-        classes = [(w, members >> shift) for w, members in self.classes if members >> shift]
-        if len(classes) == 1:
-            weight = classes[0][0]
-            return int.bit_count if weight == 1 else lambda rows: weight * rows.bit_count()
-        return lambda rows: sum(w * (rows & members).bit_count() for w, members in classes)
-
-    def grown(self, rows: Sequence[TrainingRow]) -> Optional["_Tidsets"]:
-        """This layout with ``rows`` appended as its next bits; None if they bring a new item.
-
-        The new layout shares ``items`` and ``ids``; this one is unchanged.
+        None if the rows bring a new item. The new layout shares ``items``
+        and ``ids``; this one is unchanged.
         """
         tidsets = list(self.rows)
         classes = dict(self.classes)
+        held: list[tuple[int, ...]] = []
         bit = self.all_rows + 1
         for row in rows:
+            ids = []
             for pair in (*row.inputs.items(), *row.outputs.items()):
                 i = self.ids.get(pair)  # an Item is a tuple, so the pair finds it
                 if i is None:
                     return None
                 tidsets[i] |= bit
+                ids.append(i)
+            held.append(tuple(sorted(ids)))
             classes[row.weight] = classes.get(row.weight, 0) | bit
             bit <<= 1
         grown = object.__new__(_Tidsets)
         grown.items, grown.ids = self.items, self.ids
         grown._fill(tidsets, classes, bit - 1)
-        return grown
+        return grown, held
 
     def tidset(self, items: Iterable[Item]) -> int:
         """The rows holding every one of ``items``; none if one never occurs."""
@@ -274,68 +277,36 @@ def apriori(
     support meets ``min_support``, with exact counts.
     """
     v = _vertical(data, empty_ok=False)
-    return v.freeze(_apriori(v, min_support, stats if stats is not None else MiningStats())[0])
+    return v.freeze(_apriori(v, min_support, stats if stats is not None else MiningStats()))
 
 
-def _apriori(
-    v: _Tidsets, min_support: float, stats: MiningStats, last: Optional[AprioriSearch] = None
-) -> tuple[Family, list[list[tuple[int, ...]]], list[Family]]:
+def _apriori(v: _Tidsets, min_support: float, stats: MiningStats) -> Family:
     """``apriori``'s search over ids: every frequent id tuple with its count.
 
-    Also returns, per level, the frequent sets' sorted keys and the count
-    of every candidate counted (the frequent sets and the negative
-    border). With ``last``, the same search over ``v``'s first
-    ``len(last.rows)`` rows under the same ids, the search continues it
-    (FUP): a candidate ``last`` counted has its old count plus its count
-    over the appended rows, from tidsets over those rows alone, and a
-    level whose frequent keys are ``last``'s reuses ``last``'s next
-    candidates without the join. Only a candidate never counted is
-    counted on the whole layout, and only those add to
-    ``candidates_generated``; with no ``last`` that is every candidate.
+    Each level's candidates come from ``_join`` over the level before, and
+    each is counted on the whole layout: its rows are its prefix's rows
+    ANDed with its last item's.
     """
-    shift = len(last.rows) if last is not None else 0
-    frequent_before = last.frequent if last is not None else []
-    counts_before = last.counts if last is not None else []
     p, q = threshold_ratio(min_support)
     need = p * v.total
     attribute = [item.attribute for item in v.items]
-    # tidsets over the rows past ``shift``; with no old rows, the whole layout
-    appended = [rows >> shift for rows in v.rows] if shift else v.rows
-    count_appended = v.counter(shift)
-
     result: Family = {}
-    frequent: list[list[tuple[int, ...]]] = []
-    counts: list[Family] = []
-    level: dict[tuple[int, ...], int] = {(): v.all_rows >> shift}  # frequent set -> appended tidset
-    candidates: Iterable[tuple[int, ...]] = [(i,) for i in range(len(v.items))]
+    level: dict[tuple[int, ...], int] = {(): v.all_rows}  # frequent set -> tidset
+    candidates = [(i,) for i in range(len(v.items))]
     while True:
-        k = len(counts)
-        before = counts_before[k] if k < len(counts_before) else {}
         stats.support_counting_passes += 1
-        counted: Family = {}
+        stats.candidates_generated += len(candidates)
         next_level: dict[tuple[int, ...], int] = {}
         for cand in candidates:
-            rows = level[cand[:-1]] & appended[cand[-1]]
-            count = before.get(cand)
-            if count is None:  # never counted: count it on the whole layout
-                stats.candidates_generated += 1
-                count = v.count(reduce(and_, map(v.rows.__getitem__, cand)) if shift else rows)
-            elif rows:
-                count += count_appended(rows)
-            counted[cand] = count
+            rows = level[cand[:-1]] & v.rows[cand[-1]]
+            count = v.count(rows)
             if count * q >= need:
                 result[cand] = count
                 next_level[cand] = rows
-        keys = sorted(next_level)
-        frequent.append(keys)
-        counts.append(counted)
         level = next_level
-        if k + 1 < len(counts_before) and keys == frequent_before[k]:
-            candidates = counts_before[k + 1]  # iterated for its keys, never changed
-        else:
-            candidates = _join(keys, level, attribute)
+        candidates = _join(sorted(next_level), level, attribute)
         if not candidates:
-            return result, frequent, counts
+            return result
 
 
 def _join(
@@ -463,8 +434,13 @@ def expand_maximal(
     return v.freeze(_expand_maximal(v, interned, min_support))
 
 
-def _expand_maximal(v: _Tidsets, maximal: Iterable[tuple[int, ...]], min_support: float) -> Family:
-    """``expand_maximal`` over ids: every frequent subset of ascending id tuples, counted once."""
+def _expand_maximal(
+    v: _Tidsets, maximal: Iterable[tuple[int, ...]], min_support: float, stats: Optional[MiningStats] = None
+) -> Family:
+    """``expand_maximal`` over ids: every frequent subset of ascending id tuples, counted once.
+
+    ``stats``, if given, counts the subsets counted as candidates.
+    """
     counts: Family = {}
     for ids in maximal:
         tidsets = [v.rows[i] for i in ids]
@@ -478,6 +454,8 @@ def _expand_maximal(v: _Tidsets, maximal: Iterable[tuple[int, ...]], min_support
             keys[mask] = key = (ids[j],) + keys[mask ^ low]
             if key not in counts:
                 counts[key] = v.count(rows[mask])
+    if stats is not None:
+        stats.candidates_generated += len(counts)
     return {key: count for key, count in counts.items() if meets_threshold(count, v.total, min_support)}
 
 
@@ -617,12 +595,13 @@ def remine(
     """``mine``, continuing the apriori search ``last``; also returns the search to continue next.
 
     The rules come back as an unordered list. Maxminer and ID3 mine from
-    scratch and return no search. ``last`` is continued only under the
-    same ``min_support`` when its rows are the dataset's first rows,
-    compared with ``==``, which passes over identical row objects without
-    comparing them. Otherwise (rows deleted, cleared or migrated), or when
-    an appended row brings an item ``last`` never saw and so would
-    renumber the ids, the search starts from empty.
+    scratch and return no search. ``last`` is continued (see ``_delta``)
+    only under the same ``min_support`` when its rows are the dataset's
+    first rows, compared with ``==``, which passes over identical row
+    objects without comparing them. Otherwise (rows deleted, cleared or
+    migrated), when an appended row brings an item ``last`` never saw and
+    so would renumber the ids, or when the appended rows have more subsets
+    than ``last`` has frequent sets, apriori searches from empty.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")
@@ -638,28 +617,85 @@ def remine(
             tree = _id3_build(v, dataset.schema, target)
             rules |= id3_rules(tree, dataset, thresholds, target, stats)
         return list(rules), stats, None
-    min_support = thresholds.min_support
-    if algorithm == "apriori":
-        rows = list(dataset)
-        v = None
-        if last is not None and last.min_support == min_support and rows[: len(last.rows)] == last.rows:
-            v = last.tidsets.grown(rows[len(last.rows) :])
-        if v is None:
-            last, v = None, _Tidsets(dataset)
-        family, frequent, counts = _apriori(v, min_support, stats, last)
+    min_support, schema = thresholds.min_support, dataset.schema
+    rows = list(dataset)
+    grown = None
+    if algorithm == "apriori" and last is not None and last.min_support == min_support:
+        if rows[: len(last.rows)] == last.rows:
+            grown = last.tidsets.grown(rows[len(last.rows) :])
+    if grown is not None and sum(1 << len(ids) for ids in grown[1]) <= len(last.family):
+        v, held = grown
+        family, derived = _delta(last, v, held, thresholds.min_confidence, schema, stats)
     else:
-        last, v = None, _Tidsets(dataset)
-        family = _expand_maximal(v, _max_miner(v, min_support, stats), min_support)
-    derived = _derive(
-        v.items,
-        family,
-        lambda ids: family[ids] / v.total,
-        dataset.schema,
-        thresholds.min_confidence,
-        stats,
-        algorithm,
-        last.rules if last is not None else {},
-    )
+        v = grown[0] if grown is not None else _Tidsets(dataset)
+        if algorithm == "apriori":
+            family = _apriori(v, min_support, stats)
+        else:
+            family = _expand_maximal(v, _max_miner(v, min_support, stats), min_support)
+        derived = _derive(
+            v.items,
+            family,
+            lambda ids: family[ids] / v.total,
+            schema,
+            thresholds.min_confidence,
+            stats,
+            algorithm,
+            last.rules if grown is not None else {},
+        )
     if algorithm != "apriori":
         return list(derived.values()), stats, None
-    return list(derived.values()), stats, AprioriSearch(rows, min_support, v, frequent, counts, derived)
+    search = AprioriSearch(rows, min_support, thresholds.min_confidence, schema, v, family, derived)
+    return list(derived.values()), stats, search
+
+
+def _delta(
+    last: AprioriSearch,
+    v: _Tidsets,
+    held: list[tuple[int, ...]],
+    min_confidence: float,
+    schema: Schema,
+    stats: MiningStats,
+) -> tuple[Family, dict[tuple[int, ...], Rule]]:
+    """``last`` continued over ``v``, its layout with the rows ``held`` (by id tuple) appended.
+
+    Returns the frequent family and the emitted rules by id tuple. Weights
+    are positive, so the need ``p·total`` never falls, and a set no
+    appended row holds keeps its count: it stays frequent only if that
+    count still meets the need. Every set a row holds is counted on ``v``.
+    Under ``last``'s ``min_confidence`` and schema, rules are judged again
+    only for the frequent sets a row holds and for the carried rules whose
+    antecedent a row holds, whose confidence can only fall; any other
+    carried rule keeps its confidence and takes its new support.
+    """
+    p, q = threshold_ratio(last.min_support)
+    need = p * v.total
+    touched = _expand_maximal(v, held, last.min_support, stats)
+    stats.support_counting_passes += bool(held)
+    family = {ids: count for ids, count in last.family.items() if count * q >= need}
+    family.update(touched)
+
+    def support(ids: tuple[int, ...]) -> float:
+        return family[ids] / v.total
+
+    if min_confidence != last.min_confidence or schema != last.schema:
+        return family, _derive(v.items, family, support, schema, min_confidence, stats, "apriori", last.rules)
+    # a touched set's antecedent is a subset of the same row, so ``touched`` holds it
+    rules = _derive(v.items, touched, support, schema, min_confidence, None, "apriori", last.rules)
+    inputs = {a.name for a in schema.attributes if a.kind == INPUT}
+    p, q = threshold_ratio(min_confidence)
+    for ids, rule in last.rules.items():
+        count = family.get(ids)
+        if count is None or ids in touched:
+            continue  # left the family, or judged above
+        ant = tuple([i for i in ids if v.items[i].attribute in inputs])
+        confidence = rule.confidence
+        if ant in touched:
+            ant_count = touched[ant]
+            if count * q < p * ant_count:
+                continue
+            confidence = count / ant_count
+        rules[ids] = Rule._mined(
+            rule.antecedent, rule.consequent, count / v.total, confidence, rule.source, rule.identity
+        )
+    stats.rules_emitted += len(rules)
+    return family, rules

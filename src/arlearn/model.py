@@ -436,9 +436,6 @@ class Rule:
         """
         return self.antecedent.union(self.consequent).encode()
 
-    def display(self) -> str:
-        return f"{self.antecedent!r} => {self.consequent!r}"
-
     def to_dict(self) -> dict:
         return {
             "antecedent": self.antecedent.as_mapping(),

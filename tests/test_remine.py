@@ -2,11 +2,13 @@
 
 Each gate compares with a fresh ``mining.mine`` of a copy of the rows, so
 a search continued when its rows are not a prefix of the dataset's, or a
-layout changed under a search still held, shows as a wrong rule or a
-wrong count.
+layout changed under a search still held, or a set or rule the appended
+rows change but the continued search carries unchanged, shows as a wrong
+rule or a wrong count.
 """
 
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -95,6 +97,46 @@ def request(data, engine: Engine, key: str) -> tuple[str, dict]:
     return verb, {}
 
 
+def append_request(data, schema: Schema) -> tuple[str, dict]:
+    """A request that only appends rows, remines, or switches the generation mode."""
+    verb = data.draw(
+        st.sampled_from(["set_training_data_row"] * 4 + ["load_training_data", "generate_rules", "set_generation_mode"])
+    )
+    if verb == "set_training_data_row":
+        return verb, {"row": row_dict(data, schema, st.integers(1, 3))}
+    if verb == "load_training_data":
+        rows = data.draw(st.integers(1, 3))
+        return verb, {"rows": [row_dict(data, schema, st.integers(1, 3)) for _ in range(rows)]}
+    if verb == "generate_rules":
+        return verb, {
+            "min_support": data.draw(st.sampled_from([0.1] * 4 + [0.05, 0.2, 0.3])),
+            "min_confidence": data.draw(st.sampled_from([0.5, 0.6, 0.8])),
+            "algorithm": "apriori",
+        }
+    return verb, {"mode": data.draw(st.sampled_from(["automated"] * 3 + ["manual"]))}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_rules_remined_over_an_append_only_history_equal_a_fresh_mine(data):
+    """Appends and remines alone, so that most remines continue the last search."""
+    engine = Engine()
+
+    def call(verb, params, key=None):
+        return dispatch({"request": verb, "id": 1, "key": key, "params": params}, engine)
+
+    key = call("register_app", {"name": "app"})["result"]["key"]
+    assert call("set_input_output", {"inputs": SCHEMAS[0], "outputs": OUTPUTS}, key)["ok"]
+    schema = engine.context(key).schema
+    for _ in range(data.draw(st.integers(10, 50))):
+        verb, params = append_request(data, schema)
+        ctx = engine.context(key)
+        epoch = ctx.generation_epoch
+        call(verb, params, key)
+        if ctx.rules_generated and ctx.generation_epoch != epoch:
+            check_generation(engine, key)
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_remined_rules_equal_a_fresh_mine_after_every_generation(data):
@@ -173,7 +215,7 @@ def test_a_continued_search_counts_on_the_layout_only_what_it_never_counted():
         if n in (0, 4):
             assert stats == fresh
         counted.append(stats.candidates_generated)
-    assert counted == [37, 4, 6, 0, 46, 10]
+    assert counted == [37, 15, 15, 0, 46, 15]  # an appended row of 4 items has 15 subsets
 
 
 def test_a_refused_automated_insert_leaves_the_search_it_continued(tmp_path, monkeypatch):
@@ -200,3 +242,68 @@ def test_a_refused_automated_insert_leaves_the_search_it_continued(tmp_path, mon
     assert engine.context(key).search is search
     assert call("set_training_data_row", {"row": rows[0]}, key)["ok"]
     check_generation(engine, key)
+
+
+def subsets(rows) -> int:
+    """The distinct nonempty subsets of ``rows``' items: what a continued search counts."""
+    found = set()
+    for row in rows:
+        items = [*row.inputs.items(), *row.outputs.items()]
+        found |= {frozenset(c) for k in range(1, len(items) + 1) for c in combinations(items, k)}
+    return len(found)
+
+
+def remined(dataset: Dataset, thresholds: Thresholds, search) -> tuple:
+    """``remine`` checked against a fresh mine; its stats and search, and the fresh stats."""
+    rules, stats, search = mining.remine(dataset, thresholds, "apriori", search)
+    want, fresh = fresh_mine(dataset.schema, dataset, thresholds, "apriori")
+    assert rendered(sorted(rules, key=_match_order)) == rendered(want)
+    assert stats.rules_emitted == len(rules) == fresh.rules_emitted
+    return stats, search, fresh
+
+
+def test_a_new_min_confidence_under_the_same_min_support_judges_every_rule_again():
+    dataset = Dataset(SCHEMA, ROWS[:6])
+    _, search, _ = remined(dataset, Thresholds(0.2, 0.6), None)
+    for confidence, rows in [(0.9, ROWS[6:7]), (0.5, []), (0.5, ROWS[7:8]), (0.6, ROWS[8:9])]:
+        dataset.extend(rows)
+        stats, search, _ = remined(dataset, Thresholds(0.2, confidence), search)
+        assert stats.candidates_generated == subsets(rows)  # the family was continued
+
+
+def test_carried_sets_whose_count_misses_the_grown_need_leave_the_family():
+    thresholds = Thresholds(0.2, 0.6)
+    dataset = Dataset(SCHEMA, ROWS)
+    _, search, _ = remined(dataset, thresholds, None)
+    # 10 rows need a count of 2; 11 rows need 3, and the appended row holds none of a, b, c's values
+    row = TrainingRow({}, {"o": "m"})
+    dataset.extend([row])
+    stats, grown, _ = remined(dataset, thresholds, search)
+    assert stats.candidates_generated == 1
+    dropped = [ids for ids, count in search.family.items() if count == 2]
+    assert dropped and not any(ids in grown.family for ids in dropped)
+
+
+def test_a_weighted_multi_row_append_continues_the_search():
+    thresholds = Thresholds(0.2, 0.6)
+    dataset = Dataset(SCHEMA, ROWS[:6])
+    _, search, _ = remined(dataset, thresholds, None)
+    rows = [
+        TrainingRow({"a": "y", "b": "x"}, {"o": "n"}, 3),
+        TrainingRow({"a": "y", "c": "q"}, {"o": "n"}, 2),
+        TrainingRow({"b": "x"}, {"o": "m"}, 1),
+    ]
+    dataset.extend(rows)
+    stats, _, _ = remined(dataset, thresholds, search)
+    assert stats.candidates_generated == subsets(rows)
+    assert stats.support_counting_passes == 1
+
+
+def test_an_append_with_more_subsets_than_frequent_sets_searches_from_empty():
+    thresholds = Thresholds(0.6, 0.6)  # few frequent sets
+    dataset = Dataset(SCHEMA, ROWS[:6])
+    _, search, _ = remined(dataset, thresholds, None)
+    assert len(search.family) < 16  # fewer than a 4-item row's subsets
+    dataset.extend(ROWS[6:7])
+    stats, _, fresh = remined(dataset, thresholds, search)
+    assert stats == fresh
