@@ -47,7 +47,7 @@ def _schema_params(params: Mapping) -> tuple[list, list]:
     try:
         inputs = [parse_attribute_literal(t) for t in literals_in]
         outputs = [parse_attribute_literal(t) for t in literals_out]
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise EngineError("malformed-params", f"bad attribute literal: {exc}") from exc
     return inputs, outputs
 

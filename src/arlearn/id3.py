@@ -83,13 +83,13 @@ def _class_entropy(v: _Tidsets, rows: int, classes: Sequence[int]) -> float:
     return _entropy([v.count(m) for m in _first_seen(rows & c for c in classes)])
 
 
-def _gain(v: _Tidsets, rows: int, branches: Sequence[int], classes: Sequence[int]) -> float:
-    """Information gain of splitting ``rows`` along ``branches``, parts in first-seen order."""
+def _gain(v: _Tidsets, rows: int, branches: Sequence[int], classes: Sequence[int], before: float) -> float:
+    """Gain of splitting ``rows``, of class entropy ``before``, along ``branches``, parts in first-seen order."""
     total = v.count(rows)
     weighted = 0.0
     for part in _first_seen(rows & b for b in branches):
         weighted += (v.count(part) / total) * _class_entropy(v, part, classes)
-    gain = _class_entropy(v, rows, classes) - weighted
+    gain = before - weighted
     return gain if gain > 0.0 else 0.0  # clamp float residue
 
 
@@ -113,7 +113,8 @@ def information_gain(data: Dataset, attribute: str, target: Optional[str] = None
     target = _resolve_target(data.schema, target)
     v = _Tidsets(data)
     classes = _branches(v, target, data.schema.domain_of(target))[:-1]  # outputs are never null
-    return _gain(v, v.all_rows, _branches(v, attribute, spec.domain), classes)
+    before = _class_entropy(v, v.all_rows, classes)
+    return _gain(v, v.all_rows, _branches(v, attribute, spec.domain), classes, before)
 
 
 def id3_build(data: Dataset, schema: Optional[Schema] = None, target: Optional[str] = None) -> DecisionNode:
@@ -142,8 +143,9 @@ def _id3_build(v: _Tidsets, schema: Schema, target: str) -> DecisionNode:
         majority = max(domain, key=lambda c: counts.get(c, 0))  # ties: earliest in the domain
         if len(counts) == 1 or not available:  # pure, or no attribute left
             return Leaf(majority, tuple(sorted(counts.items())))
+        before = _class_entropy(v, rows, classes)
         # declaration order; max keeps the earliest on ties
-        best_attr = max(available, key=lambda a: _gain(v, rows, branches[a], classes))
+        best_attr = max(available, key=lambda a: _gain(v, rows, branches[a], classes, before))
         remaining = tuple(a for a in available if a != best_attr)
         *parts, null = (rows & b for b in branches[best_attr])
         children = tuple(

@@ -32,10 +32,10 @@ that also takes and returns an ``AprioriSearch``: the rows mined, the
 thresholds and schema, their layout, the frequent family and the emitted
 rules. It continues the search when the dataset's first rows are the
 search's rows under the same ``min_support``: the layout grows by one bit
-per appended row, and ``_delta`` counts only the appended rows' subsets
-and judges again only the rules they touch, carrying every other set and
-rule. Otherwise, or when the appended rows have more subsets than the
-family has sets, apriori searches from empty, the same code as a fresh
+per appended row, ``_delta`` counts only the appended rows' subsets and
+carries every other set, and ``_derive`` judges only the sets those rows
+touched and the carried rules. Otherwise, or when the appended rows have
+more subsets than the family has sets, the remine is exactly a fresh
 mine. A search is a pure function of its rows, thresholds and schema and
 never changes, so that check is its whole validity, and no caller needs
 an invalidation hook.
@@ -53,7 +53,6 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, S
 from .errors import EngineError
 from .model import (
     INPUT,
-    OUTPUT,
     RULE_SOURCES,
     Dataset,
     Item,
@@ -81,8 +80,8 @@ class MiningStats:
     ``candidates_generated`` counts the itemsets counted on the layout and
     ``rules_emitted`` every rule returned. A remine that continues an
     apriori search (see ``remine``) counts as candidates the appended
-    rows' subsets, in one pass if any row was appended, and as emitted
-    rules the carried ones too.
+    rows' subsets, in one pass if any row was appended; its emitted rules
+    include those carried from the search.
     """
 
     candidates_generated: int = 0
@@ -497,6 +496,7 @@ def brute_force_frequent(data: TransactionSource, min_support: float) -> set[Fre
 
 def _derive(
     items: Sequence[Item],
+    judged: Iterable[tuple[int, ...]],
     family: Family,
     support: Callable[[tuple[int, ...]], float],
     schema: Schema,
@@ -505,16 +505,21 @@ def _derive(
     source: str,
     previous: Mapping[tuple[int, ...], Rule] = {},
 ) -> dict[tuple[int, ...], Rule]:
-    """The one rule derivation, over an id family whose ids ascend in ``Item`` order.
+    """The one rule derivation: the rules among the ``judged`` members of an id family.
 
-    ``items[i]`` is id ``i``'s item and ``support(ids)`` the support of a
-    member of ``family``. Returns the emitted rules by id tuple. Objects
-    are built only for emitted rules, and a rule whose id tuple is in
-    ``previous`` (rules derived under the same ``items``) takes that
-    rule's itemsets and identity instead of building them again.
+    ``items[i]`` is id ``i``'s item, ids ascend in ``Item`` order, and
+    ``support(ids)`` is the support of a member of ``family``, where each
+    judged set's antecedent count is looked up. Returns the emitted rules
+    by id tuple. Objects are built only for emitted rules, and a rule
+    whose id tuple is in ``previous`` (rules derived under the same
+    ``items``) takes that rule's itemsets and identity instead of
+    building them again.
     """
-    kind = {a.name: a.kind for a in schema.attributes}
-    role = [kind.get(item.attribute) for item in items]
+    inputs = {a.name: a.kind == INPUT for a in schema.attributes}
+    is_input = [inputs.get(item.attribute) for item in items]  # None: outside the schema
+    if None in is_input:  # a set touching an attribute outside the schema is no rule
+        outside = {i for i, known in enumerate(is_input) if known is None}
+        judged = [ids for ids in judged if outside.isdisjoint(ids)]
     p, q = threshold_ratio(min_confidence)
 
     def itemset(ids: tuple[int, ...]) -> ItemSet:
@@ -522,28 +527,25 @@ def _derive(
         return ItemSet._canonical(tuple(items[i] for i in ids))
 
     rules: dict[tuple[int, ...], Rule] = {}
-    for ids, count in family.items():
-        ant = tuple([i for i in ids if role[i] == INPUT])
-        cons = tuple([i for i in ids if role[i] == OUTPUT])
-        if not ant or not cons:
-            continue
-        if len(ant) + len(cons) != len(ids):
-            continue  # itemset touches attributes outside the schema
+    for ids in judged:
+        ant = tuple([i for i in ids if is_input[i]])
+        if not ant or ant == ids:
+            continue  # no input, or no output
         ant_count = family.get(ant)
         if ant_count is None:
             missing = ItemSet(items[i] for i in ant)
             raise ValueError(f"frequent family is not downward closed: missing {missing!r}")
+        count = family[ids]
         if count * q >= p * ant_count:  # meets_threshold(count, ant_count, min_confidence)
             last = previous.get(ids)
             if last is None:
+                cons = tuple([i for i in ids if not is_input[i]])
                 antecedent, consequent, identity = itemset(ant), itemset(cons), itemset(ids).encode()
             else:
                 antecedent, consequent, identity = last.antecedent, last.consequent, last.identity
-            rules[ids] = Rule._mined(
-                antecedent, consequent, support(ids), count / ant_count, source, identity
-            )
-            if stats is not None:
-                stats.rules_emitted += 1
+            rules[ids] = Rule._mined(antecedent, consequent, support(ids), count / ant_count, source, identity)
+    if stats is not None:
+        stats.rules_emitted += len(rules)
     return rules
 
 
@@ -569,7 +571,7 @@ def derive_rules(
         key = tuple(ids[item] for item in fis.items)
         family[key] = fis.support_count
         supports[key] = fis.support
-    rules = _derive(items, family, supports.__getitem__, schema, min_confidence, stats, source)
+    rules = _derive(items, family, family, supports.__getitem__, schema, min_confidence, stats, source)
     return set(rules.values())
 
 
@@ -601,7 +603,7 @@ def remine(
     objects without comparing them. Otherwise (rows deleted, cleared or
     migrated), when an appended row brings an item ``last`` never saw and
     so would renumber the ids, or when the appended rows have more subsets
-    than ``last`` has frequent sets, apriori searches from empty.
+    than ``last`` has frequent sets, the remine is exactly ``mine``.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")
@@ -617,7 +619,7 @@ def remine(
             tree = _id3_build(v, dataset.schema, target)
             rules |= id3_rules(tree, dataset, thresholds, target, stats)
         return list(rules), stats, None
-    min_support, schema = thresholds.min_support, dataset.schema
+    min_support, min_confidence, schema = thresholds.min_support, thresholds.min_confidence, dataset.schema
     rows = list(dataset)
     grown = None
     if algorithm == "apriori" and last is not None and last.min_support == min_support:
@@ -625,26 +627,21 @@ def remine(
             grown = last.tidsets.grown(rows[len(last.rows) :])
     if grown is not None and sum(1 << len(ids) for ids in grown[1]) <= len(last.family):
         v, held = grown
-        family, derived = _delta(last, v, held, thresholds.min_confidence, schema, stats)
+        family, judged = _delta(last, v, held, min_confidence, schema, stats)
+        previous = last.rules
     else:
-        v = grown[0] if grown is not None else _Tidsets(dataset)
+        v = _Tidsets(dataset)
         if algorithm == "apriori":
             family = _apriori(v, min_support, stats)
         else:
             family = _expand_maximal(v, _max_miner(v, min_support, stats), min_support)
-        derived = _derive(
-            v.items,
-            family,
-            lambda ids: family[ids] / v.total,
-            schema,
-            thresholds.min_confidence,
-            stats,
-            algorithm,
-            last.rules if grown is not None else {},
-        )
+        judged, previous = family, {}
+    derived = _derive(
+        v.items, judged, family, lambda ids: family[ids] / v.total, schema, min_confidence, stats, algorithm, previous
+    )
     if algorithm != "apriori":
         return list(derived.values()), stats, None
-    search = AprioriSearch(rows, min_support, thresholds.min_confidence, schema, v, family, derived)
+    search = AprioriSearch(rows, min_support, min_confidence, schema, v, family, derived)
     return list(derived.values()), stats, search
 
 
@@ -655,17 +652,18 @@ def _delta(
     min_confidence: float,
     schema: Schema,
     stats: MiningStats,
-) -> tuple[Family, dict[tuple[int, ...], Rule]]:
-    """``last`` continued over ``v``, its layout with the rows ``held`` (by id tuple) appended.
+) -> tuple[Family, Iterable[tuple[int, ...]]]:
+    """``last``'s family continued over ``v``, its layout with the rows ``held`` (by id tuple) appended.
 
-    Returns the frequent family and the emitted rules by id tuple. Weights
-    are positive, so the need ``p·total`` never falls, and a set no
-    appended row holds keeps its count: it stays frequent only if that
-    count still meets the need. Every set a row holds is counted on ``v``.
-    Under ``last``'s ``min_confidence`` and schema, rules are judged again
-    only for the frequent sets a row holds and for the carried rules whose
-    antecedent a row holds, whose confidence can only fall; any other
-    carried rule keeps its confidence and takes its new support.
+    Returns the frequent family and the sets ``_derive`` must judge. It
+    builds no rule. Weights are positive, so the need ``p·total`` never
+    falls, and a set no appended row holds keeps its count: it stays
+    frequent only if that count still meets the need. Every set a row
+    holds is counted on ``v``. Under ``last``'s ``min_confidence`` and
+    schema an untouched set's confidence can only fall, since its
+    antecedent's count can only grow, and every set that became frequent
+    is touched; so the sets to judge are the touched ones and the carried
+    rules still frequent. Otherwise every frequent set is judged.
     """
     p, q = threshold_ratio(last.min_support)
     need = p * v.total
@@ -673,29 +671,6 @@ def _delta(
     stats.support_counting_passes += bool(held)
     family = {ids: count for ids, count in last.family.items() if count * q >= need}
     family.update(touched)
-
-    def support(ids: tuple[int, ...]) -> float:
-        return family[ids] / v.total
-
     if min_confidence != last.min_confidence or schema != last.schema:
-        return family, _derive(v.items, family, support, schema, min_confidence, stats, "apriori", last.rules)
-    # a touched set's antecedent is a subset of the same row, so ``touched`` holds it
-    rules = _derive(v.items, touched, support, schema, min_confidence, None, "apriori", last.rules)
-    inputs = {a.name for a in schema.attributes if a.kind == INPUT}
-    p, q = threshold_ratio(min_confidence)
-    for ids, rule in last.rules.items():
-        count = family.get(ids)
-        if count is None or ids in touched:
-            continue  # left the family, or judged above
-        ant = tuple([i for i in ids if v.items[i].attribute in inputs])
-        confidence = rule.confidence
-        if ant in touched:
-            ant_count = touched[ant]
-            if count * q < p * ant_count:
-                continue
-            confidence = count / ant_count
-        rules[ids] = Rule._mined(
-            rule.antecedent, rule.consequent, count / v.total, confidence, rule.source, rule.identity
-        )
-    stats.rules_emitted += len(rules)
-    return family, rules
+        return family, family
+    return family, [*touched, *(ids for ids in last.rules if ids in family and ids not in touched)]

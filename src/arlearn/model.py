@@ -92,6 +92,8 @@ class AttributeSchema:
 
 def parse_attribute_literal(text: str) -> AttributeSchema:
     """Parse the ``name:kind:{v1,v2,...}`` literal used in files and on the wire."""
+    if not isinstance(text, str):
+        raise ValueError(f"attribute literal must be text, got {text!r}")
     match = _ATTR_LITERAL_RE.match(text.strip())
     if not match:
         raise ValueError(f"bad attribute literal: {text!r}")

@@ -471,17 +471,14 @@ def generate_trace(
         action = spec["action"]
         action_name = action["name"]
         background = action["background"]
-        patterns = [
-            (
-                ItemSet.from_mapping(p["when"]),
-                p["value"],
-                float(p["probability"]),
-            )
-            for p in spec.get("patterns", ())
-        ]
-        for _, _, probability in patterns:
+        patterns = []
+        for p in spec.get("patterns", ()):
+            when, probability = p["when"], float(p["probability"])
+            if not isinstance(when, dict):
+                raise ValueError(f"pattern 'when' must be an object, got {when!r}")
             if not (0.0 <= probability <= 1.0):
                 raise ValueError("pattern probability must lie in [0,1]")
+            patterns.append((ItemSet.from_mapping(when), p["value"], probability))
         churn = float(spec.get("churn", 0.4))
         action_rate = float(spec.get("action_rate", 0.5))
         step_lo, step_hi = spec.get("step_seconds", [30, 300])

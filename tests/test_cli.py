@@ -101,6 +101,12 @@ class TestMine:
         path.write_text("definitely not json\n")
         assert main(["mine", "--data", str(path), "--minsup", "0.4", "--minconf", "0.8"]) == 2
 
+    def test_non_text_attribute_literal_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "number-literal.jsonl"
+        path.write_text(json.dumps({"attributes": [5]}) + "\n")
+        assert main(["mine", "--data", str(path), "--minsup", "0.4", "--minconf", "0.8"]) == 2
+        assert "[malformed-line]" in capsys.readouterr().err
+
     def test_missing_required_flag_is_usage_error(self, f1_file):
         assert main(["mine", "--data", str(f1_file)]) == 1
 
@@ -166,6 +172,18 @@ class TestGenTrace:
     def test_short_bin_is_invalid_spec(self, tmp_path, capsys):
         spec = dict(TRACE_SPEC, signals=[{"signal": "battery", "kind": "intervals", "bins": [[0, 10]]}])
         path = tmp_path / "short-bin.json"
+        path.write_text(json.dumps(spec))
+        assert (
+            main(["gen-trace", "--spec", str(path), "--seed", "1", "--len", "10",
+                  "--out", str(tmp_path / "x.trace")])
+            == 2
+        )
+        assert "[invalid-spec]" in capsys.readouterr().err
+
+
+    def test_pattern_condition_that_is_not_an_object_is_invalid_spec(self, tmp_path, capsys):
+        spec = dict(TRACE_SPEC, patterns=[{"when": 5, "value": "music", "probability": 0.5}])
+        path = tmp_path / "number-when.json"
         path.write_text(json.dumps(spec))
         assert (
             main(["gen-trace", "--spec", str(path), "--seed", "1", "--len", "10",

@@ -307,3 +307,37 @@ def test_an_append_with_more_subsets_than_frequent_sets_searches_from_empty():
     dataset.extend(ROWS[6:7])
     stats, _, fresh = remined(dataset, thresholds, search)
     assert stats == fresh
+
+
+def test_a_delta_remine_drops_carried_rules_whose_antecedent_the_row_holds_and_set_it_does_not():
+    thresholds = Thresholds(0.2, 0.75)
+    dataset = Dataset(SCHEMA, ROWS[:6])
+    _, search, _ = remined(dataset, thresholds, None)
+    dataset.extend(ROWS[8:9])  # a=x, b=x, c=p, o=n
+    stats, grown, _ = remined(dataset, thresholds, search)
+    assert stats.candidates_generated == subsets(ROWS[8:9]) == 15  # the delta path
+    dropped = [{"b": "x"}, {"c": "p"}, {"b": "x", "c": "p"}, {"a": "x", "b": "x", "c": "p"}]
+    before = [(r.antecedent.as_mapping(), r.consequent.as_mapping()) for r in search.rules.values()]
+    after = [(r.antecedent.as_mapping(), r.consequent.as_mapping()) for r in grown.rules.values()]
+    for antecedent in dropped:
+        assert (antecedent, {"o": "m"}) in before
+        assert (antecedent, {"o": "m"}) not in after
+
+
+def test_a_delta_remine_under_a_new_schema_judges_every_frequent_set_again(monkeypatch):
+    thresholds = Thresholds(0.2, 0.6)
+    _, search, _ = remined(Dataset(SCHEMA, ROWS[:6]), thresholds, None)
+    wider = Schema([*SCHEMA.attributes, AttributeSchema("d", "input", ("u", "v"))])
+    dataset = Dataset.restore(wider, ROWS[:6])  # the same rows: d is bound by none
+    dataset.extend(ROWS[6:7])
+    judged = []
+    derive = mining._derive
+
+    def recording(items, sets, *args, **kwargs):
+        judged.append(set(sets))
+        return derive(items, judged[-1], *args, **kwargs)
+
+    monkeypatch.setattr(mining, "_derive", recording)
+    stats, grown, _ = remined(dataset, thresholds, search)
+    assert stats.candidates_generated == subsets(ROWS[6:7])  # the family was carried
+    assert judged[0] == grown.family.keys()

@@ -1,3 +1,4 @@
+import json
 import logging
 import random
 
@@ -60,6 +61,18 @@ class TestOpenStore:
         store = open_store(tmp_path)
         store.persist_context(engine.context(key))
         (tmp_path / key / "meta.json").write_text("{broken")
+        with pytest.raises(EngineError) as err:
+            open_store(tmp_path)
+        assert err.value.code == "corrupt-meta"
+
+    def test_meta_with_a_non_text_attribute_literal_is_corrupt_meta(self, tmp_path):
+        engine, key = seeded_engine()
+        store = open_store(tmp_path)
+        store.persist_context(engine.context(key))
+        meta_path = tmp_path / key / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["inputs"] = [5]
+        meta_path.write_text(json.dumps(meta))
         with pytest.raises(EngineError) as err:
             open_store(tmp_path)
         assert err.value.code == "corrupt-meta"
