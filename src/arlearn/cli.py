@@ -176,6 +176,8 @@ def cmd_inspect(args) -> int:
     print(f"quarantined: {len(ctx.quarantine)}")
     print(f"rules: {len(ctx.rules)} (active {active})")
     print(f"generated: {'yes' if ctx.rules_generated else 'no'}")
+    print(f"epoch: {ctx.generation_epoch}")
+    print(f"moved: {len(ctx.state_dict()['moved'])}")
     return 0
 
 

@@ -13,12 +13,13 @@ rules (one ``generation_epoch``) keeps every rule at its position in
 list. A mined generation is stored in match order, so the list order
 does the ranking: the first active, unmoved match in the list is only
 compared with the matching rules feedback may have moved out of order.
-The first query of a generation scans the list until that match. Later
-queries use a bitmask index over rule positions (Zaki's vertical
-tidsets, applied to rules): per attribute, the rules leaving it unbound
-and, per value, the rules binding it to that value. Building the index
-costs several scans, so a generation queried once is never indexed. The
-index is dropped when the epoch moves.
+Those positions are kept as a mask, which the snapshot saves and a
+restore reads back. The first query of a generation scans the list
+until that match. Later queries use a bitmask index over rule positions
+(Zaki's vertical tidsets, applied to rules): per attribute, the rules
+leaving it unbound and, per value, the rules binding it to that value.
+Building the index costs several scans, so a generation queried once is
+never indexed. A new generation gets a new index.
 
 Each context keeps its last apriori search (``ctx.search``) for
 ``mining.remine``, which continues it while its rows are a prefix of the
@@ -34,9 +35,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import mining
@@ -136,62 +135,28 @@ def _match_order(rule: Rule) -> tuple:
     return (-rule.confidence, -rule.support, -len(rule.antecedent), rule.identity)
 
 
-def _out_of_order(rules: Sequence[Rule]) -> int:
-    """A mask of the positions outside one longest run of ``rules`` in ``_match_order``.
-
-    A list already in order gives 0 after one pass that builds identities
-    only where confidence, support and antecedent length tie. Otherwise
-    the run is found by patience sorting, in O(n log n).
-    """
-    coarse = [(-r.confidence, -r.support, -len(r.antecedent)) for r in rules]
-    pairs = zip(coarse, islice(coarse, 1, None), rules, islice(rules, 1, None))
-    if all(a < b or a == b and x.identity <= y.identity for a, b, x, y in pairs):
-        return 0
-    tails: list[int] = []  # tails[k]: where the least-keyed run of length k + 1 found so far ends
-    tail_keys: list[tuple] = []
-    before = [-1] * len(rules)  # the position ahead of each in its run
-    for position, rule in enumerate(rules):
-        key = _match_order(rule)
-        k = bisect_right(tail_keys, key)
-        if k:
-            before[position] = tails[k - 1]
-        if k == len(tails):
-            tails.append(position)
-            tail_keys.append(key)
-        else:
-            tails[k] = position
-            tail_keys[k] = key
-    moved = (1 << len(rules)) - 1
-    position = tails[-1]
-    while position >= 0:
-        moved ^= 1 << position
-        position = before[position]
-    return moved
-
-
 class _RuleIndex:
     """Lookups by position in one generation's ``ctx.rules``.
 
     Feedback and journal replay replace a rule at its position without
-    changing its antecedent or identity, so what is built here holds until
-    ``epoch`` moves; ``AppContext.restore`` puts back the rules and the
-    index together. It keeps positions and identity strings, never a
-    ``Rule``.
+    changing its antecedent or identity, so what is built here holds for
+    the whole generation; ``AppContext.new_generation`` makes a new index,
+    and ``AppContext.restore`` puts back the rules and the index together.
+    It keeps positions and identity strings, never a ``Rule``.
 
     ``moved`` masks the positions that may be out of ``_match_order``; the
     rules outside it are in match order, so among them the first active
     match in the list wins, and only the matching rules in ``moved`` can
     beat it. A superset is safe and only costs time. A mined generation
-    starts at 0; an index over restored rules has None until its first
-    query computes it with ``_out_of_order``. ``AppContext.set_rule`` sets
-    the bit of each rule it replaces once ``moved`` is known; a checkpoint
-    shares the index, so a rolled-back change leaves its bit set.
+    starts at 0, ``AppContext.set_rule`` sets the bit of each rule it
+    replaces, and a restore starts from the mask its snapshot saved. A
+    checkpoint shares the index, so a rolled-back change leaves its bit
+    set.
     """
 
-    __slots__ = ("epoch", "queries", "unbound", "bound", "positions", "moved")
+    __slots__ = ("queries", "unbound", "bound", "positions", "moved")
 
-    def __init__(self, epoch: int, moved: Optional[int] = None):
-        self.epoch = epoch
+    def __init__(self, moved: int):
         self.queries = 0
         # the masks are built on the generation's second query
         self.unbound: dict[str, int] = {}  # attribute -> rules leaving it unbound
@@ -202,8 +167,6 @@ class _RuleIndex:
     def best_match(self, rules: Sequence[Rule], query: ItemSet) -> Optional[Rule]:
         self.queries += 1
         moved = self.moved
-        if moved is None:
-            moved = self.moved = _out_of_order(rules)
         best = None
         if self.queries == 1:
             for position, rule in enumerate(rules):
@@ -271,6 +234,10 @@ def _rank(
     return best
 
 
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 class AppContext:
     """Everything the engine knows about one registered application."""
 
@@ -304,29 +271,21 @@ class AppContext:
         self.last_gco: Optional[GcoRecord] = None
         self.generation_epoch = 0
         self.lock = threading.RLock()
-        self._index: Optional[_RuleIndex] = None
+        self._index = _RuleIndex(0)
         self.search: Optional[mining.AprioriSearch] = None  # the last apriori mine's, to continue
-
-    def _rule_index(self) -> _RuleIndex:
-        index = self._index
-        if index is None or index.epoch != self.generation_epoch:
-            index = self._index = _RuleIndex(self.generation_epoch)
-        return index
 
     def best_match(self, query: ItemSet) -> Optional[Rule]:
         """The active rule whose antecedent ``query`` holds, first in ``_match_order``."""
-        return self._rule_index().best_match(self.rules, query)
+        return self._index.best_match(self.rules, query)
 
     def rule_position(self, rule_id: str) -> Optional[int]:
         """The position in ``rules`` of the rule with identity ``rule_id``, if it is there."""
-        return self._rule_index().position(self.rules, rule_id)
+        return self._index.position(self.rules, rule_id)
 
     def set_rule(self, position: int, rule: Rule) -> None:
         """Put ``rule``, which keeps the antecedent and identity of the one there, at ``position``."""
         self.rules[position] = rule
-        index = self._rule_index()
-        if index.moved is not None:
-            index.moved |= 1 << position
+        self._index.moved |= 1 << position
 
     def checkpoint(self) -> "AppContext":
         """A copy of this context for ``restore``.
@@ -352,11 +311,12 @@ class AppContext:
         """Replace the rules with a new generation, given in ``_match_order``: the epoch moves and the index goes."""
         self.rules = rules
         self.generation_epoch += 1
-        self._index = _RuleIndex(self.generation_epoch, moved=0)
+        self._index = _RuleIndex(0)
 
     def state_dict(self) -> dict:
-        """Context metadata as one JSON-able object (rows/rules live in logs)."""
+        """Context metadata as one JSON-able object (rows/rules live in logs; ``moved`` as positions)."""
         inputs, outputs = self.schema.to_literals() if self.schema else (None, None)
+        moved = self._index.moved
         return {
             "key": self.key,
             "name": self.name,
@@ -367,6 +327,7 @@ class AppContext:
             "rules_generated": self.rules_generated,
             "generation_epoch": self.generation_epoch,
             "last_gco": self.last_gco.to_dict() if self.last_gco else None,
+            "moved": [p for p in range(moved.bit_length()) if moved >> p & 1],
         }
 
     @classmethod
@@ -377,25 +338,34 @@ class AppContext:
         quarantine: Iterable[TrainingRow] = (),
         rules: Iterable[Rule] = (),
     ) -> "AppContext":
+        """The context a ``state_dict`` describes; a value of the wrong type or range raises ``ValueError``."""
         ctx = cls(state["key"], state["name"])
         if state.get("inputs") is not None:
             ctx.schema = Schema.from_literals(state["inputs"], state["outputs"])
             ctx.dataset = Dataset.restore(ctx.schema, rows)
         ctx.quarantine = list(quarantine)
         ctx.rules = list(rules)
-        ctx.rules_generated = bool(state.get("rules_generated", False))
+        ctx.rules_generated = state.get("rules_generated", False)
         ctx.mode = state.get("mode", "manual")
+        ctx.generation_epoch = state.get("generation_epoch", 0)
+        if not (isinstance(ctx.rules_generated, bool) and ctx.mode in MODES and _is_count(ctx.generation_epoch)):
+            raise ValueError(f"bad rules_generated, mode or epoch: {state!r}")
         if state.get("config"):
             ctx.config = GenerationConfig.from_dict(state["config"])
         if state.get("last_gco"):
             ctx.last_gco = GcoRecord.from_dict(state["last_gco"])
-        ctx.generation_epoch = int(state.get("generation_epoch", 0))
+        # a state without ``moved`` was saved before it was kept: every position counts as moved
+        moved = state.get("moved", range(len(ctx.rules)))
+        if not isinstance(moved, (list, range)) or not all(_is_count(p) and p < len(ctx.rules) for p in moved):
+            raise ValueError(f"moved must list positions among {len(ctx.rules)} rules, got {moved!r}")
+        ctx._index = _RuleIndex(sum(1 << p for p in set(moved)))
         return ctx
 
 
 def context_fingerprint(ctx: AppContext) -> str:
     """Canonical serialization of the full context, for exact-state comparison."""
     state = ctx.state_dict()
+    del state["moved"]  # a hint: it may keep a rolled-back change's bit, and any superset answers alike
     state["rows"] = [r.to_dict() for r in (ctx.dataset if ctx.dataset is not None else ())]
     state["quarantine"] = [r.to_dict() for r in ctx.quarantine]
     state["rules"] = [r.to_dict() for r in ctx.rules]

@@ -2,9 +2,9 @@
 
 Layout per key:
 
-- ``meta.json`` (one JSON object) and ``rules.log`` (JSON lines) form the
-  snapshot. Each file is replaced atomically through its own temp file,
-  fsync and rename.
+- ``meta.json`` (``AppContext.state_dict``, with the ``moved`` positions
+  a restore ranks by) and ``rules.log`` (JSON lines) form the snapshot.
+  Each is replaced atomically through its own temp file, fsync and rename.
 - ``rows.log`` and ``quarantine.log`` are append-only JSON lines of rows.
 - ``journal.log`` is append-only JSON lines of the small changes made
   since the snapshot. A ``gco`` record holds the new ``last_gco`` (null

@@ -468,6 +468,7 @@ def generate_trace(
         raise EngineError("invalid-spec", "length must be nonnegative")
     try:
         signals = _spec_signals(spec)
+        drawn = {binning.attribute: labels for binning, labels, _ in signals}
         action = spec["action"]
         action_name = action["name"]
         background = action["background"]
@@ -476,6 +477,9 @@ def generate_trace(
             when, probability = p["when"], float(p["probability"])
             if not isinstance(when, dict):
                 raise ValueError(f"pattern 'when' must be an object, got {when!r}")
+            for attribute, value in when.items():  # a condition no drawn state holds would never fire
+                if not isinstance(value, str) or value not in drawn.get(attribute, ()):
+                    raise ValueError(f"pattern binds {attribute}={value!r}, which no signal draws")
             if not (0.0 <= probability <= 1.0):
                 raise ValueError("pattern probability must lie in [0,1]")
             patterns.append((ItemSet.from_mapping(when), p["value"], probability))

@@ -192,6 +192,23 @@ class TestGenTrace:
         )
         assert "[invalid-spec]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "when",
+        [{"nosuch": "x"}, {"headphones": 5}, {"hour": "12"}],
+        ids=["unknown-attribute", "number-value", "label-never-drawn"],
+    )
+    def test_pattern_that_can_never_fire_is_invalid_spec(self, tmp_path, capsys, when):
+        spec = dict(TRACE_SPEC, patterns=[{"when": when, "value": "music", "probability": 0.5}])
+        path = tmp_path / "never.json"
+        path.write_text(json.dumps(spec))
+        assert (
+            main(["gen-trace", "--spec", str(path), "--seed", "1", "--len", "10",
+                  "--out", str(tmp_path / "x.trace")])
+            == 2
+        )
+        assert "[invalid-spec]" in capsys.readouterr().err
+        assert not (tmp_path / "x.trace").exists()
+
 
 class TestInspect:
     def _seed_store(self, tmp_path):
@@ -234,6 +251,22 @@ class TestInspect:
         assert f"key: {key}" in out
         assert "rows: 5" in out
         assert "mode: manual" in out
+
+    def test_epoch_and_moved_rules(self, tmp_path, capsys):
+        from arlearn.daemon import dispatch
+        from arlearn.engine import Engine
+
+        key = self._seed_store(tmp_path)
+        store = open_store(tmp_path / "store")
+        engine = Engine.restore(store.contexts().values())
+        for verb, params in [
+            ("generate_rules", {"min_support": 0.2, "min_confidence": 0.6}),
+            ("get_current_output", {"inputs": {"headphones": "yes"}}),
+            ("send_feedback_last_gco", {"verdict": "negative"}),
+        ]:
+            assert dispatch({"request": verb, "key": key, "id": 4, "params": params}, engine, store)["ok"]
+        assert main(["inspect", "--store", str(tmp_path / "store"), "--app", "MusicPlayer"]) == 0
+        assert "generated: yes\nepoch: 1\nmoved: 1\n" in capsys.readouterr().out
 
     def test_byte_stable(self, tmp_path, capsys):
         self._seed_store(tmp_path)

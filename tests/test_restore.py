@@ -122,6 +122,28 @@ class TestStrictRecords:
         write_records(tmp_path / key / "journal.log", [{**record, **values}])
         assert_corrupt(tmp_path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("generation_epoch", 2.7),
+            ("generation_epoch", True),
+            ("generation_epoch", -1),
+            ("generation_epoch", "1"),
+            ("rules_generated", "false"),
+            ("rules_generated", 1),
+            ("mode", "bogus"),
+        ],
+        ids=["epoch-fraction", "epoch-true", "epoch-negative", "epoch-text",
+             "generated-text", "generated-number", "mode-unknown"],
+    )
+    def test_a_meta_scalar_of_the_wrong_type_or_range_is_corrupt_meta(self, tmp_path, field, value):
+        persisted(tmp_path)
+        (meta_path,) = tmp_path.glob("*/meta.json")
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta[field] = value
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        assert_corrupt(tmp_path)
+
     def test_rule_from_dict_refuses_what_it_used_to_coerce(self):
         good = {"antecedent": {"x": "a"}, "consequent": {"y": "b"}, "support": 0.5, "confidence": 1, "source": "id3"}
         assert Rule.from_dict(good) == Rule(ItemSet([Item("x", "a")]), ItemSet([Item("y", "b")]), 0.5, 1.0, "id3")
