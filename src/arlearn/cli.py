@@ -177,7 +177,7 @@ def cmd_inspect(args) -> int:
     print(f"rules: {len(ctx.rules)} (active {active})")
     print(f"generated: {'yes' if ctx.rules_generated else 'no'}")
     print(f"epoch: {ctx.generation_epoch}")
-    print(f"moved: {len(ctx.state_dict()['moved'])}")
+    print(f"moved: {ctx._index.moved.bit_count()}")
     return 0
 
 

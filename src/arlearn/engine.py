@@ -27,7 +27,11 @@ dataset's, so a remine after appended rows (automated mode, replay)
 counts only the appended rows' subsets and judges again only the rules
 they touch. Deletes, migrations and rollbacks need not drop it: the
 prefix check sees them. A search is stored only once its mine has
-completed and never changes, so a checkpoint may share it.
+completed and never changes, so a checkpoint may share it. Its rules are
+the objects ``ctx.rules`` starts from, and a remine, continued or not
+(after a delete), copies each one whose confidence did not change with a
+new support. Feedback replaces a rule in ``ctx.rules`` and leaves the
+search's rule as mined, so a copy never carries feedback.
 """
 
 from __future__ import annotations

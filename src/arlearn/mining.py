@@ -35,16 +35,24 @@ search's rows under the same ``min_support``: the layout grows by one bit
 per appended row, ``_delta`` counts only the appended rows' subsets and
 carries every other set, and ``_derive`` judges only the sets those rows
 touched and the carried rules. Otherwise, or when the appended rows have
-more subsets than the family has sets, the remine is exactly a fresh
+more subsets than the family has sets, the search is exactly a fresh
 mine. A search is a pure function of its rows, thresholds and schema and
 never changes, so that check is its whole validity, and no caller needs
 an invalidation hook.
+
+Either way the search's rules are handed to ``_derive``, when its ids
+name the same items under the same schema (a fresh search after a
+delete usually does). A rule whose source and confidence did not change
+is then issued as that rule with only its support replaced. That is
+exact: a mined rule's other fields are functions of its id tuple, the
+schema, its source and its confidence, and the search's rules are never
+changed (feedback replaces the engine's copy of a rule).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby
@@ -81,12 +89,17 @@ class MiningStats:
     ``rules_emitted`` every rule returned. A remine that continues an
     apriori search (see ``remine``) counts as candidates the appended
     rows' subsets, in one pass if any row was appended; its emitted rules
-    include those carried from the search.
+    include those carried from the search. ``rules_reissued`` counts the
+    emitted rules that are copies of the last search's with a new support
+    (see ``_derive``). It is left out of ``==``: it counts objects reused,
+    not work the search did, so a remine that searched afresh still
+    equals a fresh mine's stats.
     """
 
     candidates_generated: int = 0
     support_counting_passes: int = 0
     rules_emitted: int = 0
+    rules_reissued: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -192,10 +205,15 @@ class _Tidsets:
         self.rows = rows
         self.classes = sorted(classes.items())
         self.all_rows = all_rows
-        # with one weight class a count is one bit_count, since every mask counted is a subset of the rows
+        # every mask counted is a subset of the rows: with one weight class a count is one popcount,
+        # and with two each row weighs the lighter weight plus, in the heavier class, the excess
         if len(self.classes) == 1:
             weight = self.classes[0][0]
             self.count = int.bit_count if weight == 1 else lambda rows: weight * rows.bit_count()
+        elif len(self.classes) == 2:
+            (light, _), (heavy, members) = self.classes
+            excess = heavy - light
+            self.count = lambda rows: light * rows.bit_count() + excess * (rows & members).bit_count()
         else:
             weighted = self.classes
             self.count = lambda rows: sum(w * (rows & members).bit_count() for w, members in weighted)
@@ -510,10 +528,16 @@ def _derive(
     ``items[i]`` is id ``i``'s item, ids ascend in ``Item`` order, and
     ``support(ids)`` is the support of a member of ``family``, where each
     judged set's antecedent count is looked up. Returns the emitted rules
-    by id tuple. Objects are built only for emitted rules, and a rule
-    whose id tuple is in ``previous`` (rules derived under the same
-    ``items``) takes that rule's itemsets and identity instead of
-    building them again.
+    by id tuple. Objects are built only for emitted rules. ``previous``
+    holds mined rules by id tuple, derived under the same ``items`` and
+    the same split of ids into inputs and outputs. A rule whose id tuple
+    is in it takes that rule's itemsets and identity instead of building
+    them again. If that rule also has this rule's ``source`` and
+    confidence, compared as floats with ``==``, the rule is that one with
+    its support replaced (``Rule._resupported``). Its antecedent,
+    consequent, identity and ``active`` (always true on a mined rule) are
+    then what this derivation would give, so the copy equals, field for
+    field, the rule built here.
     """
     inputs = {a.name: a.kind == INPUT for a in schema.attributes}
     is_input = [inputs.get(item.attribute) for item in items]  # None: outside the schema
@@ -527,6 +551,7 @@ def _derive(
         return ItemSet._canonical(tuple(items[i] for i in ids))
 
     rules: dict[tuple[int, ...], Rule] = {}
+    reissued = 0
     for ids in judged:
         ant = tuple([i for i in ids if is_input[i]])
         if not ant or ant == ids:
@@ -537,15 +562,21 @@ def _derive(
             raise ValueError(f"frequent family is not downward closed: missing {missing!r}")
         count = family[ids]
         if count * q >= p * ant_count:  # meets_threshold(count, ant_count, min_confidence)
+            confidence = count / ant_count
             last = previous.get(ids)
             if last is None:
                 cons = tuple([i for i in ids if not is_input[i]])
                 antecedent, consequent, identity = itemset(ant), itemset(cons), itemset(ids).encode()
+            elif last.confidence == confidence and last.source == source:
+                rules[ids] = last._resupported(support(ids))
+                reissued += 1
+                continue
             else:
                 antecedent, consequent, identity = last.antecedent, last.consequent, last.identity
-            rules[ids] = Rule._mined(antecedent, consequent, support(ids), count / ant_count, source, identity)
+            rules[ids] = Rule._mined(antecedent, consequent, support(ids), confidence, source, identity)
     if stats is not None:
         stats.rules_emitted += len(rules)
+        stats.rules_reissued += reissued
     return rules
 
 
@@ -603,7 +634,9 @@ def remine(
     objects without comparing them. Otherwise (rows deleted, cleared or
     migrated), when an appended row brings an item ``last`` never saw and
     so would renumber the ids, or when the appended rows have more subsets
-    than ``last`` has frequent sets, the remine is exactly ``mine``.
+    than ``last`` has frequent sets, the search is exactly ``mine``'s; its
+    rules may still be ``last``'s copied with a new support (see
+    ``_derive``), which equal the rules ``mine`` builds.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")
@@ -636,6 +669,8 @@ def remine(
         else:
             family = _expand_maximal(v, _max_miner(v, min_support, stats), min_support)
         judged, previous = family, {}
+        if last is not None and last.schema == schema and last.tidsets.items == v.items:
+            previous = last.rules  # its ids name the same items, split alike into inputs and outputs
     derived = _derive(
         v.items, judged, family, lambda ids: family[ids] / v.total, schema, min_confidence, stats, algorithm, previous
     )
@@ -669,7 +704,10 @@ def _delta(
     need = p * v.total
     touched = _expand_maximal(v, held, last.min_support, stats)
     stats.support_counting_passes += bool(held)
-    family = {ids: count for ids, count in last.family.items() if count * q >= need}
+    if min(last.family.values(), default=0) * q >= need:
+        family = dict(last.family)  # every carried set still meets the need
+    else:
+        family = {ids: count for ids, count in last.family.items() if count * q >= need}
     family.update(touched)
     if min_confidence != last.min_confidence or schema != last.schema:
         return family, family

@@ -113,7 +113,7 @@ class Schema:
     decision-tree splits and the canonical order in persisted metadata.
     """
 
-    __slots__ = ("_attributes", "_by_name")
+    __slots__ = ("_attributes", "_by_name", "_checks")
 
     def __init__(self, attributes: Iterable[AttributeSchema]):
         attrs = tuple(attributes)
@@ -128,6 +128,7 @@ class Schema:
             raise ValueError("schema needs at least one output attribute")
         self._attributes = attrs
         self._by_name = by_name
+        self._checks = None  # validate_row's lookups, built on its first call
 
     @property
     def attributes(self) -> tuple[AttributeSchema, ...]:
@@ -143,6 +144,13 @@ class Schema:
 
     def attribute(self, name: str) -> Optional[AttributeSchema]:
         return self._by_name.get(name)
+
+    def _row_checks(self) -> tuple[dict[str, tuple[str, frozenset[str]]], tuple[str, ...]]:
+        """What ``validate_row`` looks up: each name's kind and domain as a set, and the output names."""
+        if self._checks is None:
+            declared = {a.name: (a.kind, frozenset(a.domain)) for a in self._attributes}
+            self._checks = declared, self.output_names
+        return self._checks
 
     def domain_of(self, name: str) -> tuple[str, ...]:
         attr = self._by_name.get(name)
@@ -335,27 +343,32 @@ class TrainingRow:
         return cls(inputs, outputs, obj.get("weight", 1))
 
 
+_UNDECLARED = (None, frozenset())  # the kind and domain of a name no schema declares
+
+
 def validate_row(schema: Schema, row: TrainingRow) -> None:
     """Check a row against a schema; raises with a stable code on the first defect."""
+    declared, outputs = schema._row_checks()
     for attr, value in row.inputs.items():
-        spec = schema.attribute(attr)
-        if spec is None or spec.kind != INPUT:
+        kind, domain = declared.get(attr, _UNDECLARED)
+        if kind != INPUT:
             raise EngineError("unknown-attribute", f"{attr!r} is not a declared input attribute")
-        if value not in spec.domain:
+        if value not in domain:
             raise EngineError(
                 "out-of-domain-value", f"{attr}={value!r} is outside the declared domain"
             )
     for attr, value in row.outputs.items():
-        spec = schema.attribute(attr)
-        if spec is None or spec.kind != OUTPUT:
+        kind, domain = declared.get(attr, _UNDECLARED)
+        if kind != OUTPUT:
             raise EngineError("unknown-attribute", f"{attr!r} is not a declared output attribute")
-        if value not in spec.domain:
+        if value not in domain:
             raise EngineError(
                 "out-of-domain-value", f"{attr}={value!r} is outside the declared domain"
             )
-    for name in schema.output_names:
-        if name not in row.outputs:
-            raise EngineError("missing-output", f"output attribute {name!r} is unbound")
+    if len(row.outputs) != len(outputs):  # each bound output is declared, so one is unbound
+        for name in outputs:
+            if name not in row.outputs:
+                raise EngineError("missing-output", f"output attribute {name!r} is unbound")
 
 
 class Dataset:
@@ -464,6 +477,20 @@ class Rule:
         """
         rule = cls(antecedent, consequent, support, confidence, source)
         rule.__dict__["identity"] = identity  # fills the cached_property
+        return rule
+
+    def _resupported(self, support: float) -> "Rule":
+        """This rule with ``support`` in place of its own, identity included.
+
+        Only the support is checked, as ``__post_init__`` checks it: every
+        other field was checked when this rule was built.
+        """
+        if not (0.0 <= support <= 1.0):
+            raise ValueError(f"support {support} outside [0,1]")
+        rule = object.__new__(Rule)
+        fields = rule.__dict__
+        fields.update(self.__dict__)
+        fields["support"] = support
         return rule
 
     @classmethod

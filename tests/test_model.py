@@ -162,6 +162,33 @@ class TestValidateRow:
             validate_row(f1_schema, TrainingRow({"app": "music"}, {"app": "music"}))
         assert err.value.code == "unknown-attribute"
 
+    @pytest.mark.parametrize(
+        "inputs, outputs, code, message",
+        [
+            # inputs first, each binding in name order, then outputs, then the unbound outputs
+            ({"headphones": "maybe", "volume": "11"}, {}, "out-of-domain-value", "headphones='maybe' is outside"),
+            ({"hour": "noon", "app": "music"}, {}, "unknown-attribute", "'app' is not a declared input"),
+            ({"volume": "11"}, {"app": "loud"}, "unknown-attribute", "'volume' is not a declared input"),
+            ({"hour": "morning"}, {"app": "loud", "x": "1"}, "out-of-domain-value", "app='loud' is outside"),
+            ({}, {"hour": "morning"}, "unknown-attribute", "'hour' is not a declared output"),
+            ({}, {"app": "music", "mood": "calm"}, "unknown-attribute", "'mood' is not a declared output"),
+            ({"headphones": "yes"}, {}, "missing-output", "output attribute 'app' is unbound"),
+        ],
+    )
+    def test_the_first_defect_is_raised(self, f1_schema, inputs, outputs, code, message):
+        with pytest.raises(EngineError) as err:
+            validate_row(f1_schema, TrainingRow(inputs, outputs))
+        assert err.value.code == code
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("bound, missing", [({"o2": "x"}, "o1"), ({"o1": "x"}, "o2"), ({}, "o2")])
+    def test_the_first_unbound_output_in_schema_order_is_named(self, bound, missing):
+        schema = Schema.from_literals(["i:input:{a}"], ["o2:output:{x}", "o1:output:{x}"])
+        with pytest.raises(EngineError) as err:
+            validate_row(schema, TrainingRow({"i": "a"}, bound))
+        assert err.value.code == "missing-output"
+        assert str(err.value) == f"output attribute {missing!r} is unbound"
+
 
 class TestRowToItemset:
     def test_direct_mapping(self):
@@ -216,6 +243,22 @@ class TestRule:
     def test_identity_is_full_itemset_encoding(self):
         rule = self._rule()
         assert rule.identity == '[["a","1"],["o","x"]]'
+
+    def test_resupported_changes_only_the_support(self):
+        rule = self._rule()
+        identity = rule.identity
+        copy = rule._resupported(0.25)
+        assert copy == self._rule(support=0.25) and hash(copy) == hash(self._rule(support=0.25))
+        assert copy.to_dict() == {**rule.to_dict(), "support": 0.25}
+        assert copy.identity is identity
+        assert rule.support == 0.5
+
+    @pytest.mark.parametrize("support", [-0.1, 1.5, float("nan")])
+    def test_resupported_checks_the_support(self, support):
+        with pytest.raises(ValueError):
+            self._rule(support=support)
+        with pytest.raises(ValueError):
+            self._rule()._resupported(support)
 
 
 class TestThresholds:

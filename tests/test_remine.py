@@ -19,7 +19,7 @@ import arlearn.store as store_module
 from arlearn import mining
 from arlearn.daemon import dispatch
 from arlearn.engine import Engine, _match_order
-from arlearn.model import AttributeSchema, Dataset, Schema, Thresholds, TrainingRow
+from arlearn.model import AttributeSchema, Dataset, Rule, Schema, Thresholds, TrainingRow
 from arlearn.store import open_store
 
 OUTPUTS = ["o:output:{m,n}"]
@@ -341,3 +341,108 @@ def test_a_delta_remine_under_a_new_schema_judges_every_frequent_set_again(monke
     stats, grown, _ = remined(dataset, thresholds, search)
     assert stats.candidates_generated == subsets(ROWS[6:7])  # the family was carried
     assert judged[0] == grown.family.keys()
+
+
+def test_a_one_row_append_builds_only_the_rules_whose_confidence_changed(monkeypatch):
+    thresholds = Thresholds(0.2, 0.6)
+    dataset = Dataset(SCHEMA, ROWS[:6])
+    _, search, _ = remined(dataset, thresholds, None)
+    dataset.extend(ROWS[6:7])
+    built = []
+    post_init = Rule.__post_init__
+
+    def counting(rule):
+        built.append(rule.identity)
+        post_init(rule)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Rule, "__post_init__", counting)
+        rules, stats, _ = mining.remine(dataset, thresholds, "apriori", search)
+    want, _ = fresh_mine(SCHEMA, dataset, thresholds, "apriori")
+    assert rendered(sorted(rules, key=_match_order)) == rendered(want)
+    last = {rule.identity: rule.confidence for rule in search.rules.values()}
+    changed = sorted(rule.identity for rule in rules if last.get(rule.identity) != rule.confidence)
+    assert 0 < len(changed) < len(rules)
+    assert sorted(built) == changed
+    assert stats.rules_emitted - stats.rules_reissued == len(changed)
+
+
+def spied_stats(monkeypatch) -> list:
+    """The ``MiningStats`` of every ``mining.remine`` the engine makes from now on."""
+    seen = []
+    remine = mining.remine
+
+    def spying(*args, **kwargs):
+        result = remine(*args, **kwargs)
+        seen.append(result[1])
+        return result
+
+    monkeypatch.setattr(mining, "remine", spying)
+    return seen
+
+
+def row_dicts(rows) -> list:
+    return [{"inputs": dict(r.inputs), "outputs": dict(r.outputs), "weight": r.weight} for r in rows]
+
+
+def keyed_app(engine: Engine):
+    """An application on ``SCHEMAS[0]``, and a ``call`` that sends it a request and returns the result."""
+    key = dispatch({"request": "register_app", "id": 1, "params": {"name": "app"}}, engine)["result"]["key"]
+
+    def call(verb, params):
+        response = dispatch({"request": verb, "id": 1, "key": key, "params": params}, engine)
+        assert response["ok"], response
+        return response["result"]
+
+    call("set_input_output", {"inputs": SCHEMAS[0], "outputs": OUTPUTS})
+    return key, call
+
+
+def test_feedback_never_reaches_a_reissued_rule(monkeypatch):
+    engine = Engine()
+    key, call = keyed_app(engine)
+    call("load_training_data", {"rows": row_dicts(ROWS[:8])})
+    generate = {"min_support": 0.2, "min_confidence": 0.6, "algorithm": "apriori"}
+    call("generate_rules", generate)
+    stats = spied_stats(monkeypatch)
+    queries = [{"a": "x", "b": "x", "c": "p"}, {"a": "y", "c": "q"}, {"b": "y"}]
+    for step in ["append", "delete"]:
+        for query, verdict in zip(queries, ["negative", "positive", "negative"]):
+            assert call("get_current_output", {"inputs": query})["output"] is not None
+            call("send_feedback_last_gco", {"verdict": verdict})
+        ctx = engine.context(key)
+        assert {rule.confidence for rule in ctx.rules} != {rule.confidence for rule in ctx.search.rules.values()}
+        if step == "append":  # continues the search
+            call("set_training_data_row", {"row": row_dicts(ROWS[8:9])[0]})
+        else:  # a fresh search, given the last one's rules
+            assert call("delete_training_data_row", {"match": {"a": "x"}, "mode": "first"})["deleted"] == 1
+        call("generate_rules", generate)
+        assert stats[-1].rules_reissued > 0
+        check_generation(engine, key)
+
+
+@pytest.mark.parametrize("algorithm", ["maxminer", "id3"])
+def test_a_remine_after_an_apriori_search_gives_its_own_source(algorithm):
+    engine = Engine()
+    key, call = keyed_app(engine)
+    call("load_training_data", {"rows": row_dicts(ROWS)})
+    call("generate_rules", {"min_support": 0.2, "min_confidence": 0.6, "algorithm": "apriori"})
+    assert engine.context(key).search is not None
+    rules = call("generate_rules", {"min_support": 0.2, "min_confidence": 0.6, "algorithm": algorithm})["rules"]
+    assert rules and {rule["source"] for rule in rules} == {algorithm}
+    check_generation(engine, key)
+
+
+def test_a_remine_under_a_schema_that_leaves_the_rows_equal_equals_a_fresh_mine(monkeypatch):
+    engine = Engine()
+    key, call = keyed_app(engine)
+    call("load_training_data", {"rows": row_dicts(ROWS)})
+    generate = {"min_support": 0.2, "min_confidence": 0.6, "algorithm": "apriori"}
+    call("generate_rules", generate)
+    rows = list(engine.context(key).dataset)
+    stats = spied_stats(monkeypatch)
+    call("change_inputs_outputs", {"inputs": SCHEMAS[1], "outputs": OUTPUTS})
+    assert list(engine.context(key).dataset) == rows
+    call("generate_rules", generate)
+    assert stats[-1].rules_reissued > 0
+    check_generation(engine, key)

@@ -18,6 +18,7 @@ from arlearn.errors import EngineError
 from arlearn.id3 import Leaf, id3_build, id3_rules
 from arlearn.mining import (
     ALGORITHMS,
+    _Tidsets,
     apriori,
     brute_force_frequent,
     derive_rules,
@@ -95,6 +96,25 @@ class TestSupportCount:
     def test_large_dataset(self, large):
         for target in random_targets(random.Random(1), large.schema, 200):
             assert support_count(target, large) == naive_count(target, large.rows)
+
+
+class TestCountForms:
+    """``_Tidsets.count`` has a form for one weight class, one for two and one for more."""
+
+    @pytest.mark.parametrize("weights", [(1,), (3,), (1, 2), (1, 3), (2, 5), (1, 2, 3)])
+    def test_count_and_apriori_equal_row_scans(self, weights):
+        rng = random.Random(str(weights))
+        drawn = random_dataset(rng, max_rows=60, min_rows=40)
+        rows = [TrainingRow(r.inputs, r.outputs, rng.choice(weights)) for r in drawn]
+        data = Dataset(drawn.schema, rows)
+        v = _Tidsets(data)
+        assert [weight for weight, _ in v.classes] == sorted(weights)
+        assert v.total == data.total_weight()
+        for _ in range(300):
+            mask = rng.getrandbits(len(rows))
+            assert v.count(mask) == sum(row.weight for i, row in enumerate(rows) if mask >> i & 1)
+        for minsup in (0.05, 0.2):
+            assert apriori(data, minsup) == brute_force_frequent(data, minsup)
 
 
 class TestMine:
