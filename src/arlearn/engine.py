@@ -21,9 +21,9 @@ leaving it unbound and, per value, the rules binding it to that value.
 Building the index costs several scans, so a generation queried once is
 never indexed. A new generation gets a new index.
 
-Each context keeps its last apriori search (``ctx.search``) for
-``mining.remine``, which continues it while its rows are a prefix of the
-dataset's, so a remine after appended rows (automated mode, replay)
+Each context keeps its last apriori or maxminer search (``ctx.search``)
+for ``mining.remine``, which continues it while its rows are a prefix of
+the dataset's, so a remine after appended rows (automated mode, replay)
 counts only the appended rows' subsets and judges again only the rules
 they touch. Deletes, migrations and rollbacks need not drop it: the
 prefix check sees them. A search is stored only once its mine has
@@ -31,7 +31,8 @@ completed and never changes, so a checkpoint may share it. Its rules are
 the objects ``ctx.rules`` starts from, and a remine, continued or not
 (after a delete), copies each one whose confidence did not change with a
 new support. Feedback replaces a rule in ``ctx.rules`` and leaves the
-search's rule as mined, so a copy never carries feedback.
+search's rule as mined, so a copy never carries feedback. An ID3 mine
+keeps no search.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ class AppContext:
         self.generation_epoch = 0
         self.lock = threading.RLock()
         self._index = _RuleIndex(0)
-        self.search: Optional[mining.AprioriSearch] = None  # the last apriori mine's, to continue
+        self.search: Optional[mining.Search] = None  # the last apriori or maxminer mine's, to continue
 
     def best_match(self, query: ItemSet) -> Optional[Rule]:
         """The active rule whose antecedent ``query`` holds, first in ``_match_order``."""

@@ -28,17 +28,19 @@ frequent id tuple. The public ``apriori``, ``max_miner``,
 them back into ids, for tests, the benchmark and the oracle.
 
 A carried search (FUP: Cheung et al., ICDE 1996). ``remine`` is ``mine``
-that also takes and returns an ``AprioriSearch``: the rows mined, the
-thresholds and schema, their layout, the frequent family and the emitted
-rules. It continues the search when the dataset's first rows are the
-search's rows under the same ``min_support``: the layout grows by one bit
-per appended row, ``_delta`` counts only the appended rows' subsets and
-carries every other set, and ``_derive`` judges only the sets those rows
-touched and the carried rules. Otherwise, or when the appended rows have
-more subsets than the family has sets, the search is exactly a fresh
-mine. A search is a pure function of its rows, thresholds and schema and
-never changes, so that check is its whole validity, and no caller needs
-an invalidation hook.
+that also takes and returns a ``Search``: the rows mined, the thresholds
+and schema, their layout, the frequent family and the emitted rules.
+Apriori and maxminer find the same family, so one search serves both,
+and either may continue the other's. It continues the search when the
+dataset's first rows are the search's rows under the same
+``min_support``: the layout grows by one bit per appended row,
+``_delta`` counts only the appended rows' subsets and carries every
+other set, and ``_derive`` judges only the sets those rows touched and
+the carried rules. Otherwise, or when the appended rows have more
+subsets than the family has sets, the search is exactly a fresh mine by
+the algorithm asked for. A search is a pure function of its rows,
+thresholds and schema and never changes, so that check is its whole
+validity, and no caller needs an invalidation hook.
 
 Either way the search's rules are handed to ``_derive``, when its ids
 name the same items under the same schema (a fresh search after a
@@ -86,14 +88,16 @@ class MiningStats:
     """Run telemetry: how much work a mining pass did.
 
     ``candidates_generated`` counts the itemsets counted on the layout and
-    ``rules_emitted`` every rule returned. A remine that continues an
-    apriori search (see ``remine``) counts as candidates the appended
-    rows' subsets, in one pass if any row was appended; its emitted rules
-    include those carried from the search. ``rules_reissued`` counts the
-    emitted rules that are copies of the last search's with a new support
-    (see ``_derive``). It is left out of ``==``: it counts objects reused,
-    not work the search did, so a remine that searched afresh still
-    equals a fresh mine's stats.
+    ``rules_emitted`` every rule returned. A fresh mine counts the search
+    its algorithm ran (Max-Miner's alone for maxminer). A remine that
+    continues a search (see ``remine``) describes the delta, whatever the
+    algorithm: it counts as candidates the appended rows' subsets, in one
+    pass if any row was appended, and its emitted rules include those
+    carried from the search. ``rules_reissued`` counts the emitted rules
+    that are copies of the last search's with a new support (see
+    ``_derive``). It is left out of ``==``: it counts objects reused, not
+    work the search did, so a remine that searched afresh still equals a
+    fresh mine's stats.
     """
 
     candidates_generated: int = 0
@@ -103,8 +107,8 @@ class MiningStats:
 
 
 @dataclass(frozen=True)
-class AprioriSearch:
-    """A finished apriori mine, for ``remine`` to continue on a longer history.
+class Search:
+    """A finished apriori or maxminer mine, for ``remine`` to continue on a longer history.
 
     A pure function of its rows and the thresholds and schema it was mined
     under: nothing in it changes after it is built, so whoever keeps one
@@ -127,24 +131,6 @@ class FrequentItemSet:
     items: ItemSet
     support_count: int
     support: float
-
-
-@dataclass(frozen=True)
-class CandidateNode:
-    """A set-enumeration node: committed head plus ordered candidate extensions.
-
-    The tail is disjoint from the head and ordered by ascending support of
-    head∪{item} (re-sorted at every expansion). ``max_miner`` fills both
-    with interned item ids.
-    """
-
-    head: frozenset
-    head_count: int
-    tail: tuple
-
-    def __post_init__(self):
-        if self.head & frozenset(self.tail):
-            raise ValueError("candidate tail overlaps the committed head")
 
 
 @lru_cache(maxsize=64)
@@ -388,44 +374,44 @@ def _max_miner(v: _Tidsets, min_support: float, stats: MiningStats) -> Family:
             mask &= holders[i]
         return mask
 
-    def expand(node: CandidateNode, head_rows: int) -> None:
-        if not node.tail:
-            record(node.head, node.head_count)
+    def expand(head: frozenset[int], head_count: int, tail: Sequence[int], head_rows: int) -> None:
+        """Search below ``head`` (its count and rows given) with the extensions ``tail``.
+
+        The tail is disjoint from the head: it holds the extensions ordered
+        after the one that joined the head, by ascending support of
+        head∪{item} (re-sorted at every expansion).
+        """
+        if not tail:
+            record(head, head_count)
             return
-        hut = node.head | frozenset(node.tail)
+        hut = head.union(tail)
         if holding(hut):
             return  # subtree subsumed by an already-found maximal set
         stats.candidates_generated += 1
         stats.support_counting_passes += 1
         hut_rows = head_rows
-        for item in node.tail:
+        for item in tail:
             hut_rows &= v.rows[item]
         hut_count = v.count(hut_rows)
         if meets_threshold(hut_count, v.total, min_support):
             record(hut, hut_count)
             return  # everything below is a subset of hut
         extensions: list[tuple[int, int, int]] = []
-        for item in node.tail:
+        for item in tail:
             stats.candidates_generated += 1
             rows = head_rows & v.rows[item]
             count = v.count(rows)
             if meets_threshold(count, v.total, min_support):
                 extensions.append((count, item, rows))
         if not extensions:
-            record(node.head, node.head_count)
+            record(head, head_count)
             return
         extensions.sort()  # dynamic reordering by (support, item)
         for idx, (count, item, rows) in enumerate(extensions):
-            expand(
-                CandidateNode(node.head | {item}, count, tuple(e[1] for e in extensions[idx + 1 :])),
-                rows,
-            )
+            expand(head | {item}, count, [e[1] for e in extensions[idx + 1 :]], rows)
 
     for idx, (count, item) in enumerate(frequent_singles):
-        expand(
-            CandidateNode(frozenset((item,)), count, tuple(p[1] for p in frequent_singles[idx + 1 :])),
-            v.rows[item],
-        )
+        expand(frozenset((item,)), count, [p[1] for p in frequent_singles[idx + 1 :]], v.rows[item])
 
     # a found set is maximal when the only found superset is itself
     return {
@@ -623,20 +609,25 @@ def remine(
     dataset: Dataset,
     thresholds: Thresholds,
     algorithm: str,
-    last: Optional[AprioriSearch] = None,
-) -> tuple[list[Rule], MiningStats, Optional[AprioriSearch]]:
-    """``mine``, continuing the apriori search ``last``; also returns the search to continue next.
+    last: Optional[Search] = None,
+) -> tuple[list[Rule], MiningStats, Optional[Search]]:
+    """``mine``, continuing the search ``last``; also returns the search to continue next.
 
-    The rules come back as an unordered list. Maxminer and ID3 mine from
-    scratch and return no search. ``last`` is continued (see ``_delta``)
-    only under the same ``min_support`` when its rows are the dataset's
-    first rows, compared with ``==``, which passes over identical row
-    objects without comparing them. Otherwise (rows deleted, cleared or
-    migrated), when an appended row brings an item ``last`` never saw and
-    so would renumber the ids, or when the appended rows have more subsets
-    than ``last`` has frequent sets, the search is exactly ``mine``'s; its
-    rules may still be ``last``'s copied with a new support (see
-    ``_derive``), which equal the rules ``mine`` builds.
+    The rules come back as an unordered list. ID3 builds its trees afresh
+    and returns no search. Apriori and maxminer find the same family, so
+    either continues ``last`` whichever of them made it; after a switch
+    every rule is rebuilt under its new ``source``. The algorithm only
+    chooses which fresh search runs. ``last`` is continued (see
+    ``_delta``) only under the same ``min_support`` when its rows are the
+    dataset's first rows, compared with ``==``, which passes over
+    identical row objects without comparing them; the stats then describe
+    the delta, not a search by the algorithm. Otherwise (rows deleted,
+    cleared or migrated), when an appended row brings an item ``last``
+    never saw and so would renumber the ids, or when the appended rows
+    have more subsets than ``last`` has frequent sets, the search and its
+    stats are exactly ``mine``'s; its rules may still be ``last``'s copied
+    with a new support (see ``_derive``), which equal the rules ``mine``
+    builds.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")
@@ -655,9 +646,8 @@ def remine(
     min_support, min_confidence, schema = thresholds.min_support, thresholds.min_confidence, dataset.schema
     rows = list(dataset)
     grown = None
-    if algorithm == "apriori" and last is not None and last.min_support == min_support:
-        if rows[: len(last.rows)] == last.rows:
-            grown = last.tidsets.grown(rows[len(last.rows) :])
+    if last is not None and last.min_support == min_support and rows[: len(last.rows)] == last.rows:
+        grown = last.tidsets.grown(rows[len(last.rows) :])
     if grown is not None and sum(1 << len(ids) for ids in grown[1]) <= len(last.family):
         v, held = grown
         family, judged = _delta(last, v, held, min_confidence, schema, stats)
@@ -674,14 +664,12 @@ def remine(
     derived = _derive(
         v.items, judged, family, lambda ids: family[ids] / v.total, schema, min_confidence, stats, algorithm, previous
     )
-    if algorithm != "apriori":
-        return list(derived.values()), stats, None
-    search = AprioriSearch(rows, min_support, min_confidence, schema, v, family, derived)
+    search = Search(rows, min_support, min_confidence, schema, v, family, derived)
     return list(derived.values()), stats, search
 
 
 def _delta(
-    last: AprioriSearch,
+    last: Search,
     v: _Tidsets,
     held: list[tuple[int, ...]],
     min_confidence: float,

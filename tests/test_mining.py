@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from arlearn.errors import EngineError
 from arlearn.mining import (
-    CandidateNode,
     MiningStats,
     apriori,
     brute_force_frequent,
@@ -126,16 +125,6 @@ class TestMaxMiner:
         apriori(data, 0.6, apriori_stats)
         max_miner(data, 0.6, maxminer_stats)
         assert maxminer_stats.candidates_generated < apriori_stats.candidates_generated
-
-
-class TestCandidateNode:
-    def test_tail_must_be_disjoint_from_head(self):
-        with pytest.raises(ValueError):
-            CandidateNode(frozenset((A,)), 3, (A, B))
-
-    def test_valid_node(self):
-        node = CandidateNode(frozenset((A,)), 3, (B, C))
-        assert node.tail == (B, C)
 
 
 class TestExpandMaximal:

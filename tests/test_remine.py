@@ -1,4 +1,4 @@
-"""Remining an append-only history continues the last apriori search.
+"""Remining an append-only history continues the last apriori or maxminer search.
 
 Each gate compares with a fresh ``mining.mine`` of a copy of the rows, so
 a search continued when its rows are not a prefix of the dataset's, or a
@@ -111,7 +111,7 @@ def append_request(data, schema: Schema) -> tuple[str, dict]:
         return verb, {
             "min_support": data.draw(st.sampled_from([0.1] * 4 + [0.05, 0.2, 0.3])),
             "min_confidence": data.draw(st.sampled_from([0.5, 0.6, 0.8])),
-            "algorithm": "apriori",
+            "algorithm": data.draw(st.sampled_from(["apriori", "maxminer"])),
         }
     return verb, {"mode": data.draw(st.sampled_from(["automated"] * 3 + ["manual"]))}
 
@@ -253,13 +253,37 @@ def subsets(rows) -> int:
     return len(found)
 
 
-def remined(dataset: Dataset, thresholds: Thresholds, search) -> tuple:
+def remined(dataset: Dataset, thresholds: Thresholds, search, algorithm: str = "apriori") -> tuple:
     """``remine`` checked against a fresh mine; its stats and search, and the fresh stats."""
-    rules, stats, search = mining.remine(dataset, thresholds, "apriori", search)
-    want, fresh = fresh_mine(dataset.schema, dataset, thresholds, "apriori")
+    rules, stats, search = mining.remine(dataset, thresholds, algorithm, search)
+    want, fresh = fresh_mine(dataset.schema, dataset, thresholds, algorithm)
     assert rendered(sorted(rules, key=_match_order)) == rendered(want)
     assert stats.rules_emitted == len(rules) == fresh.rules_emitted
     return stats, search, fresh
+
+
+def test_a_maxminer_remine_after_a_one_row_append_continues_its_search():
+    thresholds = Thresholds(0.2, 0.6)
+    dataset = Dataset(SCHEMA, ROWS[:6])
+    stats, search, fresh = remined(dataset, thresholds, None, "maxminer")
+    assert stats == fresh  # a first mine runs Max-Miner
+    dataset.extend(ROWS[6:7])
+    stats, _, _ = remined(dataset, thresholds, search, "maxminer")
+    assert stats.candidates_generated == subsets(ROWS[6:7]) == 15  # the delta path
+    assert stats.support_counting_passes == 1
+    assert 0 < stats.rules_reissued < stats.rules_emitted
+
+
+@pytest.mark.parametrize("first, then", [("maxminer", "apriori"), ("apriori", "maxminer")])
+def test_either_algorithm_continues_the_others_search_under_its_own_source(first, then):
+    thresholds = Thresholds(0.2, 0.6)
+    dataset = Dataset(SCHEMA, ROWS[:6])
+    _, search, _ = remined(dataset, thresholds, None, first)
+    dataset.extend(ROWS[6:7])
+    stats, grown, _ = remined(dataset, thresholds, search, then)
+    assert stats.candidates_generated == subsets(ROWS[6:7])  # the delta path
+    assert stats.rules_reissued == 0
+    assert grown.rules and {rule.source for rule in grown.rules.values()} == {then}
 
 
 def test_a_new_min_confidence_under_the_same_min_support_judges_every_rule_again():

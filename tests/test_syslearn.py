@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from arlearn import mining
 from arlearn.engine import Engine
 from arlearn.errors import EngineError
 from arlearn.model import Item, ItemSet, Thresholds
@@ -279,6 +281,40 @@ class TestReplay:
         assert totals["actions"] == report.actions_total
         assert totals["fired"] == report.fired
         assert totals["matched"] == report.matched
+
+
+# three more signals than TRACE_SPEC, so that a replay mines about 170 rules
+EXTRA_SIGNALS = [
+    {"signal": name, "attribute": name, "kind": "categorical", "domain": domain}
+    for name, domain in [("battery", ["low", "high"]), ("wifi", ["on", "off"]), ("place", ["home", "work"])]
+]
+
+
+@pytest.mark.parametrize("algorithm", ["apriori", "maxminer", "id3"])
+def test_a_replay_continuing_its_searches_reports_what_one_mining_afresh_reports(algorithm, tmp_path, monkeypatch):
+    out = tmp_path / "wide.trace"
+    generate_trace({**TRACE_SPEC, "signals": [*TRACE_SPEC["signals"], *EXTRA_SIGNALS]}, seed=1, length=200, out=out)
+    events = parse_trace(out)
+    binning = BinningConfig.from_dict({**BINNING_DICT, "signals": [*BINNING_DICT["signals"], *EXTRA_SIGNALS]})
+    thresholds, policy = Thresholds(0.05, 0.5), ReplayPolicy(regenerate_every=1)
+    remine = mining.remine
+    continued = []
+
+    def spying(dataset, thresholds, algorithm, last=None):
+        result = remine(dataset, thresholds, algorithm, last)
+        search = result[2]
+        # a continued search grows the last one's layout, which keeps its items
+        continued.append(last is not None and search is not None and search.tidsets.items is last.tidsets.items)
+        return result
+
+    reports = []
+    for patched in [spying, lambda dataset, thresholds, algorithm, last=None: remine(dataset, thresholds, algorithm)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(mining, "remine", patched)
+            report = replay(events, fresh_engine(binning), binning, thresholds, algorithm, policy)
+        reports.append(json.dumps(report.to_dict(), sort_keys=True))
+    assert reports[0] == reports[1]
+    assert any(continued) == (algorithm != "id3")
 
 
 class TestGenerateTrace:
