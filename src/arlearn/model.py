@@ -13,7 +13,7 @@ import re
 import secrets
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -34,7 +34,7 @@ _KEY_RE = re.compile(r"^[A-Za-z0-9]{32}$")
 # or whitespace so the literal stays unambiguous.
 _ATTR_LITERAL_RE = re.compile(r"^([^:{},\s]+):(input|output):\{([^{}\s]*)\}$")
 
-# ItemSet.encode's encoder, built once: json.dumps with these arguments builds one per call
+# the encoder of ItemSet.encode's item texts, built once: json.dumps with these arguments builds one per call
 _ITEMS_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 # the scanner json.loads ends in, without its whitespace and end-of-text checks
 _scan_once = json.JSONDecoder().scan_once
@@ -197,6 +197,12 @@ class Item(NamedTuple):
 _attribute = itemgetter(0)  # an Item's attribute
 
 
+@lru_cache(maxsize=4096)
+def _item_text(item: Item) -> str:
+    """An item's text in ``ItemSet.encode``: ``["attribute","value"]``, a tuple being a JSON array."""
+    return _ITEMS_ENCODER.encode(item)
+
+
 class ItemSet:
     """An immutable set of items with at most one item per attribute.
 
@@ -294,7 +300,7 @@ class ItemSet:
 
     def encode(self) -> str:
         """Deterministic text encoding; injective over valid itemsets."""
-        return _ITEMS_ENCODER.encode([[i.attribute, i.value] for i in self._items])
+        return "[" + ",".join(map(_item_text, self._items)) + "]"
 
 
 def _clean_bindings(mapping: Mapping[str, Optional[str]], role: str) -> dict[str, str]:

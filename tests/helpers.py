@@ -24,8 +24,12 @@ def cli_env(**overrides: str) -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=python_path, **overrides)
 
 
-def random_schema(rng: random.Random) -> Schema:
-    """A small schema whose total item universe stays within the oracle bound."""
+def random_schema(rng: random.Random, values: Optional[int] = None) -> Schema:
+    """A small schema whose total item universe stays within the oracle bound.
+
+    With ``values`` every attribute has that many values instead, and the
+    bound no longer holds.
+    """
     n_inputs = rng.randint(2, 4)
     n_outputs = rng.randint(1, 2)
     budget = 12 - 2 * (n_inputs + n_outputs)
@@ -33,15 +37,17 @@ def random_schema(rng: random.Random) -> Schema:
     for index in range(n_inputs + n_outputs):
         extra = rng.randint(0, 1) if budget > 0 else 0
         budget -= extra
-        domain = tuple(f"v{j}" for j in range(2 + extra))
+        domain = tuple(f"v{j}" for j in range(2 + extra if values is None else values))
         kind = "input" if index < n_inputs else "output"
         name = f"i{index}" if kind == "input" else f"o{index - n_inputs}"
         attrs.append(AttributeSchema(name, kind, domain))
     return Schema(attrs)
 
 
-def random_dataset(rng: random.Random, max_rows: int = 200, min_rows: int = 1) -> Dataset:
-    schema = random_schema(rng)
+def random_dataset(
+    rng: random.Random, max_rows: int = 200, min_rows: int = 1, values: Optional[int] = None
+) -> Dataset:
+    schema = random_schema(rng, values)
     inputs = [schema.attribute(n) for n in schema.input_names]
     outputs = [schema.attribute(n) for n in schema.output_names]
     rows = []

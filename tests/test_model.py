@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +25,10 @@ itemset_mappings = st.dictionaries(
     st.sampled_from(["a", "b", "c", "d", "e"]),
     st.sampled_from(["0", "1", "2", "x y", 'q"z']),
     max_size=5,
+)
+# text with quotes, backslashes, control characters and non-ASCII, which JSON escapes or keeps
+awkward_text = st.text(
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "雪", "\U0001f600", "a"]) | st.characters()
 )
 
 
@@ -115,6 +121,13 @@ class TestItemSet:
     def test_encode_injective(self, left, right):
         a, b = ItemSet.from_mapping(left), ItemSet.from_mapping(right)
         assert (a.encode() == b.encode()) == (a == b)
+
+    @given(st.dictionaries(awkward_text, awkward_text, max_size=6))
+    def test_encode_is_the_compact_json_of_its_pairs(self, mapping):
+        itemset = ItemSet(Item(a, v) for a, v in mapping.items())
+        pairs = [[a, v] for a, v in sorted(mapping.items())]
+        for _ in range(2):  # the second pass reads every item's text from the cache
+            assert itemset.encode() == json.dumps(pairs, separators=(",", ":"), ensure_ascii=False)
 
 
 class TestTrainingRow:

@@ -1,10 +1,10 @@
-"""Support counting on the vertical layout, and ``mining.mine``, against naive recounts.
+"""The vertical layout, support counting on it, and ``mining.mine``, against naive recounts.
 
 Every count the miners and ``id3_build`` make goes through one tidset
 kernel, and ``id3_rules`` reads its counts off the tree's leaves. These
-tests hold both to a row-by-row weighted scan, to the
-``brute_force_frequent`` oracle, and to exact ``Fraction`` threshold
-comparisons at their boundaries.
+tests hold the layout's masks to a row-by-row recount, and the counts to
+a row-by-row weighted scan, to the ``brute_force_frequent`` oracle, and
+to exact ``Fraction`` threshold comparisons at their boundaries.
 """
 
 import random
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arlearn import mining
 from arlearn.errors import EngineError
 from arlearn.id3 import Leaf, id3_build, id3_rules
 from arlearn.mining import (
@@ -82,6 +83,143 @@ def large() -> Dataset:
     data = random_dataset(random.Random(2000), max_rows=800, min_rows=500)
     assert len(data) >= 500
     return data
+
+
+def recount(transactions) -> tuple[dict[Item, int], dict[int, int]]:
+    """Each item's and each weight's row mask, one ``(pairs, weight)`` row at a time."""
+    items: dict[Item, int] = {}
+    classes: dict[int, int] = {}
+    for row, (pairs, weight) in enumerate(transactions):
+        for pair in pairs:
+            items[Item(*pair)] = items.get(Item(*pair), 0) | 1 << row
+        classes[weight] = classes.get(weight, 0) | 1 << row
+    return items, classes
+
+
+def row_pairs(rows) -> list[tuple[list[tuple[str, str]], int]]:
+    return [([*row.inputs.items(), *row.outputs.items()], row.weight) for row in rows]
+
+
+def assert_layout(v: _Tidsets, transactions) -> None:
+    """``v`` holds exactly the recounted masks, in ``Item`` order, with its counts."""
+    items, classes = recount(transactions)
+    assert v.items == sorted(items)
+    assert v.ids == {item: i for i, item in enumerate(v.items)}
+    assert dict(zip(v.items, v.rows)) == items
+    assert v.classes == sorted(classes.items())
+    assert v.all_rows == (1 << len(transactions)) - 1
+    assert v.total == sum(weight for _, weight in transactions)
+
+
+@pytest.fixture
+def translated(monkeypatch) -> list[int]:
+    """The codes of the masks ``_masks`` reads off by translation while the test runs."""
+    codes: list[int] = []
+
+    class Counting(list):
+        def __getitem__(self, code):
+            codes.append(code)
+            return list.__getitem__(self, code)
+
+    monkeypatch.setattr(mining, "_ONE_HOT", Counting(mining._ONE_HOT))
+    return codes
+
+
+class TestLayout:
+    """``_Tidsets`` is built a column at a time; its masks must be a row-by-row recount's."""
+
+    @pytest.mark.parametrize(
+        "rows, distinct, by_translation",
+        [
+            (64, 1, True),  # one value per 64 rows is the most translation takes
+            (63, 1, False),
+            (2048, 32, True),
+            (2048, 33, False),
+            (2000, 200, False),
+            (2000, 300, False),
+            (0, 0, True),
+        ],
+    )
+    def test_masks_in_both_branches(self, translated, rows, distinct, by_translation):
+        # every entry occurs; with more than one, one of them is unbound (None)
+        entries = [f"v{j}" for j in range(distinct - 1)] + [None] if distinct > 1 else ["v0"] * distinct
+        column = [entries[row % distinct] for row in range(rows)]
+        random.Random(rows).shuffle(column)
+        expected: dict[str, int] = {}
+        for row, value in enumerate(reversed(column)):
+            if value is not None:
+                expected[value] = expected.get(value, 0) | 1 << row
+        assert mining._masks(column) == expected
+        assert bool(translated) == (by_translation and bool(expected))
+
+    @pytest.mark.parametrize("values", [3, 100, 300])
+    @pytest.mark.parametrize("weights", [(1,), (1, 2), (1, 2, 3)])
+    def test_dataset_equals_row_recount(self, values, weights):
+        rng = random.Random(f"{values}:{weights}")
+        drawn = random_dataset(rng, max_rows=1500, min_rows=1500, values=values)
+        data = Dataset(drawn.schema, [TrainingRow(r.inputs, r.outputs, rng.choice(weights)) for r in drawn])
+        assert any(len(row.inputs) < len(data.schema.input_names) for row in data)  # unbound inputs
+        v = _Tidsets(data)
+        assert_layout(v, row_pairs(data))
+        assert len(v.classes) == len(weights)
+        if values > 256:
+            assert max(sum(item.attribute == name for item in v.items) for name in data.schema.input_names) > 256
+
+    def test_one_row_and_no_row(self, f1_schema):
+        row = TrainingRow({"headphones": "yes"}, {"app": "music"}, 3)
+        assert_layout(_Tidsets(Dataset(f1_schema, [row])), row_pairs([row]))
+        empty = _Tidsets(Dataset(f1_schema))
+        assert_layout(empty, [])
+        assert (empty.items, empty.rows, empty.classes, empty.total) == ([], [], [], 0)
+
+    def test_weighted_raw_transactions(self):
+        rng = random.Random(7)
+        txns = [
+            ([Item(a, rng.choice("xyz")) for a in "abcd" if rng.random() < 0.7], rng.choice((1, 1, 4)))
+            for _ in range(300)
+        ]
+        txns += [[Item("a", "x")], [Item("e", "y"), Item("b", "x")]]  # bare collections weigh 1
+        expected = [(sorted(items), weight) for items, weight in txns[:-2]]
+        expected += [([("a", "x")], 1), ([("b", "x"), ("e", "y")], 1)]
+        assert_layout(_Tidsets(txns), expected)
+
+    def test_attributes_outside_the_schema_and_in_both_roles(self, f1_schema):
+        rows = [
+            TrainingRow({"headphones": "yes", "volume": "11"}, {"app": "music"}),
+            TrainingRow({"headphones": "no"}, {"app": "none", "mood": "calm"}, 2),
+            TrainingRow({"hour": "evening"}, {"hour": "evening", "app": "music"}),
+            TrainingRow({"hour": "evening"}, {"hour": "morning", "app": "none"}),
+        ]
+        data = Dataset.restore(f1_schema, rows)  # restore does not validate
+        v = _Tidsets(data)
+        assert_layout(v, row_pairs(rows))
+        assert v.rows[v.ids[Item("hour", "evening")]] == 0b1100  # an input on rows 2 and 3, an output on 2
+        rules, _ = mine(data, Thresholds(0.2, 0.1), "apriori")
+        assert rules
+        for rule in rules:
+            assert {"volume", "mood"}.isdisjoint(rule.antecedent.union(rule.consequent).attributes())
+
+    @pytest.mark.parametrize("appended", [0, 1, 5, 70])
+    def test_grown_equals_a_fresh_build(self, appended):
+        rng = random.Random(appended)
+        drawn = random_dataset(rng, max_rows=200, min_rows=200)
+        rows = list(drawn)
+        cut = len(rows) - appended
+        while True:  # the appended rows bring no new item
+            grown = _Tidsets(Dataset(drawn.schema, rows[:cut])).grown(rows[cut:])
+            if grown is not None:
+                break
+            rng.shuffle(rows)
+        fresh = _Tidsets(Dataset(drawn.schema, rows))
+        v, held = grown
+        assert (v.items, v.rows, v.classes, v.all_rows, v.total) == (
+            fresh.items,
+            fresh.rows,
+            fresh.classes,
+            fresh.all_rows,
+            fresh.total,
+        )
+        assert held == [tuple(sorted(fresh.ids[Item(*pair)] for pair in pairs)) for pairs, _ in row_pairs(rows[cut:])]
 
 
 class TestSupportCount:
