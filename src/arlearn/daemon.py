@@ -6,8 +6,11 @@ order matches request order. With a store, every mutation is durable
 before its response is written, in the order it was made in memory, and
 a request that fails, whether the engine refuses it or its store write
 fails, leaves memory as it was before it: memory is never ahead of disk.
-``_WRITES`` says what each verb writes. Of a verb with two writes, a
-failure of the second leaves the first on disk.
+``_VERB_TABLE`` says what each verb writes. A snapshot is one write, so
+``generate_rules`` and ``set_generation_mode`` make one write each. Of a
+verb with two writes (an automated insert that remines, and
+``change_inputs_outputs``), a failure of the second leaves the first on
+disk.
 
 A request line longer than ``MAX_LINE`` bytes is answered with
 ``malformed-request`` and the rest of it is dropped.
@@ -146,25 +149,6 @@ def _h_ping(engine, key, params):
     return "pong"
 
 
-_HANDLERS: dict[str, Callable] = {
-    "register_app": _h_register_app,
-    "set_input_output": _h_set_input_output,
-    "load_training_data": _h_load_training_data,
-    "set_training_data_row": _h_set_training_data_row,
-    "generate_rules": _h_generate_rules,
-    "set_generation_mode": _h_set_generation_mode,
-    "get_current_output": _h_get_current_output,
-    "send_feedback_last_gco": _h_send_feedback_last_gco,
-    "delete_training_data": _h_delete_training_data,
-    "delete_training_data_row": _h_delete_training_data_row,
-    "change_inputs_outputs": _h_change_inputs_outputs,
-    "ping": _h_ping,
-}
-VERBS = tuple(_HANDLERS)
-
-_KEYLESS = {"register_app", "ping"}
-
-
 def _snapshot(store: Store, ctx: AppContext, saved: AppContext) -> None:
     store.persist_context(ctx)
 
@@ -189,27 +173,31 @@ def _migration(store: Store, ctx: AppContext, saved: AppContext) -> None:
     store.compact(ctx.key)
 
 
-# What each keyed verb writes once the engine has applied it, given the
-# context and its checkpoint from before the request.
-_WRITES: dict[str, Callable[[Store, AppContext, AppContext], None]] = {
-    "set_input_output": _snapshot,
-    "load_training_data": _appended_rows,
-    "set_training_data_row": _appended_rows,
-    "generate_rules": _snapshot,
-    "set_generation_mode": _snapshot,
-    "get_current_output": lambda store, ctx, saved: store.record_gco(ctx),
-    "send_feedback_last_gco": _feedback,
-    "delete_training_data": _compaction,
-    "delete_training_data_row": _compaction,
-    "change_inputs_outputs": _migration,
+# Each verb's handler, and what a keyed verb writes once the engine has
+# applied it, given the context and its checkpoint from before the
+# request. A keyless verb has no write.
+_VERB_TABLE: dict[str, tuple[Callable, Optional[Callable[[Store, AppContext, AppContext], None]]]] = {
+    "register_app": (_h_register_app, None),
+    "set_input_output": (_h_set_input_output, _snapshot),
+    "load_training_data": (_h_load_training_data, _appended_rows),
+    "set_training_data_row": (_h_set_training_data_row, _appended_rows),
+    "generate_rules": (_h_generate_rules, _snapshot),
+    "set_generation_mode": (_h_set_generation_mode, _snapshot),
+    "get_current_output": (_h_get_current_output, lambda store, ctx, saved: store.record_gco(ctx)),
+    "send_feedback_last_gco": (_h_send_feedback_last_gco, _feedback),
+    "delete_training_data": (_h_delete_training_data, _compaction),
+    "delete_training_data_row": (_h_delete_training_data_row, _compaction),
+    "change_inputs_outputs": (_h_change_inputs_outputs, _migration),
+    "ping": (_h_ping, None),
 }
+VERBS = tuple(_VERB_TABLE)
 
 
 def dispatch(request: object, engine: Engine, store: Optional[Store] = None) -> dict:
     """Execute one wire request and build the response object.
 
     With a store, a keyed verb runs under the context's lock from a
-    checkpoint, then its write in ``_WRITES``; if either fails, the
+    checkpoint, then its write in ``_VERB_TABLE``; if either fails, the
     checkpoint is restored. A ``register_app`` whose snapshot fails drops
     the new application.
     """
@@ -218,7 +206,7 @@ def dispatch(request: object, engine: Engine, store: Optional[Store] = None) -> 
         if not isinstance(request, Mapping):
             raise EngineError("malformed-request", "request must be a JSON object")
         verb = request.get("request")
-        if not isinstance(verb, str) or verb not in _HANDLERS:
+        if not isinstance(verb, str) or verb not in _VERB_TABLE:
             raise EngineError("unknown-request", f"unknown request verb {verb!r}")
         params = request.get("params", {})
         if params is None:
@@ -226,8 +214,8 @@ def dispatch(request: object, engine: Engine, store: Optional[Store] = None) -> 
         if not isinstance(params, Mapping):
             raise EngineError("malformed-params", "params must be an object")
         key = request.get("key")
-        handler = _HANDLERS[verb]
-        if verb in _KEYLESS:
+        handler, write = _VERB_TABLE[verb]
+        if write is None:
             result = handler(engine, key, params)
             if verb == "register_app" and store is not None:
                 try:
@@ -246,7 +234,7 @@ def dispatch(request: object, engine: Engine, store: Optional[Store] = None) -> 
                 saved = ctx.checkpoint()
                 try:
                     result = handler(engine, key, params)
-                    _WRITES[verb](store, ctx, saved)
+                    write(store, ctx, saved)
                 except BaseException:
                     ctx.restore(saved)
                     raise

@@ -64,19 +64,15 @@ MODES = ("automated", "manual")
 
 @dataclass(frozen=True)
 class FeedbackPolicy:
-    """How feedback nudges rule confidence; clamped to [floor, ceiling]."""
+    """How feedback nudges rule confidence; the result is clamped to [0, 1]."""
 
     positive_delta: float = 0.05
     negative_delta: float = 0.10
-    floor: float = 0.0
-    ceiling: float = 1.0
 
     def __post_init__(self):
         for label, delta in (("positive_delta", self.positive_delta), ("negative_delta", self.negative_delta)):
             if not (0.0 < delta < 1.0):
                 raise ValueError(f"{label} must lie in (0, 1)")
-        if self.floor > self.ceiling:
-            raise ValueError("feedback floor above ceiling")
 
 
 @dataclass(frozen=True)
@@ -319,7 +315,7 @@ class AppContext:
         self._index = _RuleIndex(0)
 
     def state_dict(self) -> dict:
-        """Context metadata as one JSON-able object (rows/rules live in logs; ``moved`` as positions)."""
+        """Context metadata as one JSON-able object, without rows or rules (``moved`` as positions)."""
         inputs, outputs = self.schema.to_literals() if self.schema else (None, None)
         moved = self._index.moved
         return {
@@ -564,7 +560,7 @@ class Engine:
                 confidence = rule.confidence + self.feedback.positive_delta
             else:
                 confidence = rule.confidence - self.feedback.negative_delta
-            confidence = min(max(confidence, self.feedback.floor), self.feedback.ceiling)
+            confidence = min(max(confidence, 0.0), 1.0)
             assert ctx.config is not None
             active = not (confidence < ctx.config.thresholds.min_confidence)
             ctx.set_rule(index, replace(rule, confidence=confidence, active=active))

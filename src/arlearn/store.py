@@ -2,9 +2,11 @@
 
 Layout per key:
 
-- ``meta.json`` (``AppContext.state_dict``, with the ``moved`` positions
-  a restore ranks by) and ``rules.log`` (JSON lines) form the snapshot.
-  Each is replaced atomically through its own temp file, fsync and rename.
+- ``meta.json`` is the snapshot: ``AppContext.state_dict`` (with the
+  ``moved`` positions a restore ranks by) plus a ``rules`` list, as one
+  JSON object replaced atomically through a temp file, fsync and rename.
+  A ``meta.json`` without ``rules`` predates the one-file snapshot; its
+  rules are read from ``rules.log``, one JSON line each.
 - ``rows.log`` and ``quarantine.log`` are append-only JSON lines of rows.
 - ``journal.log`` is append-only JSON lines of the small changes made
   since the snapshot. A ``gco`` record holds the new ``last_gco`` (null
@@ -23,16 +25,16 @@ journal before any snapshot holds it, so the journal holds every such
 change the snapshot has. Records left by a crash between a snapshot and
 its truncation are therefore either from an older epoch, or, holding
 absolute values, replay to the snapshot's own state. Once the journal is
-larger than the snapshot (meta plus rules), the record just appended is
-folded into a new snapshot, so folding rewrites at most about as many
-bytes as were appended.
+larger than ``meta.json``, the record just appended is folded into a new
+snapshot, so folding rewrites at most about as many bytes as were
+appended.
 A torn trailing record in an append log is dropped with a warning on
 open. Opening writes nothing; the torn record is cut from the file just
 before the store's first append to it, so later appends start on a clean
 line.
 
-Opening decodes each nonempty line with the JSON scanner alone; a line
-is a record exactly when ``json.loads`` accepts it on its own. Each
+Opening decodes each nonempty log line with the JSON scanner alone; a
+line is a record exactly when ``json.loads`` accepts it on its own. Each
 distinct value is built once: an application's two row logs share one
 ``TrainingRow`` per distinct line text, and the rules of one open share
 one ``ItemSet`` per distinct stored itemset. Both are immutable, so
@@ -59,7 +61,6 @@ logger = logging.getLogger(__name__)
 
 META_FILE = "meta.json"
 ROWS_FILE = "rows.log"
-RULES_FILE = "rules.log"
 QUARANTINE_FILE = "quarantine.log"
 JOURNAL_FILE = "journal.log"
 
@@ -209,15 +210,19 @@ class Store:
         try:
             rows = _read_log(app_dir / ROWS_FILE, torn, TrainingRow.from_dict, rows_built)
             quarantine = _read_log(app_dir / QUARANTINE_FILE, torn, TrainingRow.from_dict, rows_built)
-            rules = _read_log(app_dir / RULES_FILE, build=lambda record: Rule.from_dict(record, itemsets))
+            rule = lambda record: Rule.from_dict(record, itemsets)
+            if "rules" not in meta:  # written before the snapshot was one file
+                rules = _read_log(app_dir / "rules.log", build=rule)
+            elif isinstance(meta["rules"], list):
+                rules = [rule(record) for record in meta["rules"]]
+            else:
+                raise ValueError("rules must be a list")
             journal = _read_log(app_dir / JOURNAL_FILE, torn)
             ctx = AppContext.from_state(meta, rows, quarantine, rules)
             _replay(ctx, journal)
         except (KeyError, ValueError, TypeError) as exc:
             raise EngineError("corrupt-meta", f"{meta_path}: {exc}") from exc
-        self._journal_room[ctx.key] = (
-            _size(meta_path) + _size(app_dir / RULES_FILE) - _size(app_dir / JOURNAL_FILE)
-        )
+        self._journal_room[ctx.key] = _size(meta_path) - _size(app_dir / JOURNAL_FILE)
         return ctx
 
     def contexts(self) -> dict[str, AppContext]:
@@ -229,16 +234,16 @@ class Store:
         return self.root / key
 
     def persist_context(self, ctx: AppContext) -> None:
-        """Write the meta and rules snapshot, then empty the journal; rows are left untouched."""
+        """Write the snapshot, then empty the journal; rows are left untouched."""
         app_dir = self._app_dir(ctx.key)
         with ctx.lock:
-            meta_text = json.dumps(ctx.state_dict(), sort_keys=True) + "\n"
-            rules_text = _lines(r.to_dict() for r in ctx.rules)
+            state = ctx.state_dict()
+            state["rules"] = [r.to_dict() for r in ctx.rules]
+            text = json.dumps(state, sort_keys=True) + "\n"
             created = not app_dir.is_dir()
             try:
                 app_dir.mkdir(parents=True, exist_ok=True)
-                _atomic_write(app_dir / META_FILE, meta_text)
-                _atomic_write(app_dir / RULES_FILE, rules_text)
+                _atomic_write(app_dir / META_FILE, text)
                 with contextlib.suppress(FileNotFoundError):
                     os.truncate(app_dir / JOURNAL_FILE, 0)
                 self._torn_tails.pop(app_dir / JOURNAL_FILE, None)
@@ -247,7 +252,7 @@ class Store:
                     # a key directory without a whole snapshot would fail the next open
                     shutil.rmtree(app_dir, ignore_errors=True)
                 raise EngineError("io-error", f"persisting {ctx.key}: {exc}") from exc
-            self._journal_room[ctx.key] = len(meta_text) + len(rules_text)
+            self._journal_room[ctx.key] = len(text)
             self._contexts[ctx.key] = ctx
 
     def record_gco(self, ctx: AppContext) -> None:

@@ -1,9 +1,10 @@
 """Shared generators and fixtures used by unit and acceptance tests."""
 
+import json
 import os
 import random
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 import arlearn
 from arlearn.id3 import DecisionNode, Leaf, Split, entropy
@@ -22,6 +23,14 @@ def cli_env(**overrides: str) -> dict[str, str]:
     inherited = os.environ.get("PYTHONPATH")
     python_path = os.pathsep.join([package_root, inherited]) if inherited else package_root
     return dict(os.environ, PYTHONPATH=python_path, **overrides)
+
+
+def rewrite_stored_rules(app_dir: Path, change: Callable[[list], None]) -> None:
+    """Apply ``change`` to the rule records of the snapshot in ``app_dir/meta.json``, in place."""
+    meta_path = app_dir / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    change(meta["rules"])
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
 
 
 def random_schema(rng: random.Random, values: Optional[int] = None) -> Schema:

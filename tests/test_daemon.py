@@ -318,7 +318,7 @@ class TestFailedWrites:
         assert engine.context(key).generation_epoch == epoch
         assert context_fingerprint(open_store(tmp_path).contexts()[key]) == before
 
-    @pytest.mark.parametrize("failing", ["meta.json", "rules.log"])
+    @pytest.mark.parametrize("failing", ["meta.json"])
     def test_failed_registration_frees_the_name_and_leaves_no_directory(
         self, tmp_path, engine, monkeypatch, failing
     ):

@@ -35,6 +35,7 @@ from helpers import (
     F1_ROW_DICTS,
     planted_long_pattern,
     random_dataset,
+    rewrite_stored_rules,
 )
 
 
@@ -175,7 +176,7 @@ def test_a_malformed_quarantine_record_is_corrupt_meta(tmp_path):
 )
 def test_a_malformed_rule_record_is_corrupt_meta(tmp_path, change):
     app_dir = persisted(tmp_path)
-    rewrite_first_record(app_dir / "rules.log", change)
+    rewrite_stored_rules(app_dir, lambda rules: change(rules[0]))
     assert_corrupt(tmp_path)
 
 

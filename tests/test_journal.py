@@ -67,7 +67,7 @@ class FsyncCount:
 class TestWhatEachVerbWrites:
     def test_query_appends_one_small_record_and_leaves_the_snapshot(self, tmp_path, served, monkeypatch):
         engine, store, key = served
-        snapshot = {name: (tmp_path / key / name).stat() for name in ("meta.json", "rules.log")}
+        before = (tmp_path / key / "meta.json").stat()
         fsyncs = FsyncCount(monkeypatch)
         ok(call(engine, store, "get_current_output", key, inputs=MATCHING))
         ok(call(engine, store, "get_current_output", key, inputs={"hour": "evening"}))
@@ -79,9 +79,8 @@ class TestWhatEachVerbWrites:
         epoch = engine.context(key).generation_epoch
         assert all(r["generation_epoch"] == epoch for r in records)
         assert (tmp_path / key / "journal.log").stat().st_size < 1024
-        for name, before in snapshot.items():
-            after = (tmp_path / key / name).stat()
-            assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        after = (tmp_path / key / "meta.json").stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     def test_feedback_appends_one_record(self, tmp_path, served, monkeypatch):
         engine, store, key = served
@@ -97,11 +96,11 @@ class TestWhatEachVerbWrites:
 
     def test_manual_insert_appends_only_the_row(self, tmp_path, served, monkeypatch):
         engine, store, key = served
-        before = {name: (tmp_path / key / name).read_bytes() for name in ("meta.json", "rules.log")}
+        before = (tmp_path / key / "meta.json").read_bytes()
         fsyncs = FsyncCount(monkeypatch)
         ok(call(engine, store, "set_training_data_row", key, row=F1_ROW_DICTS[0]))
         assert fsyncs.n == 1
-        assert {name: (tmp_path / key / name).read_bytes() for name in before} == before
+        assert (tmp_path / key / "meta.json").read_bytes() == before
         assert reopened(tmp_path, key) == context_fingerprint(engine.context(key))
 
     def test_automated_insert_also_snapshots_the_new_rules(self, tmp_path, served):
@@ -226,7 +225,7 @@ class TestFold:
             ok(call(engine, store, "get_current_output", key, inputs=MATCHING))
             if n % 3 == 0:
                 ok(call(engine, store, "send_feedback_last_gco", key, verdict="positive"))
-            snapshot = (app_dir / "meta.json").stat().st_size + (app_dir / "rules.log").stat().st_size
+            snapshot = (app_dir / "meta.json").stat().st_size
             journal_sizes.append((app_dir / "journal.log").stat().st_size)
             assert journal_sizes[-1] <= snapshot
             assert reopened(tmp_path, key) == context_fingerprint(engine.context(key))
@@ -263,7 +262,7 @@ class TestFold:
     def test_a_failed_fold_keeps_the_record(self, tmp_path, served, monkeypatch):
         engine, store, key = served
         app_dir = tmp_path / key
-        snapshot = (app_dir / "meta.json").stat().st_size + (app_dir / "rules.log").stat().st_size
+        snapshot = (app_dir / "meta.json").stat().st_size
 
         def broken(path, text):
             raise OSError(28, "No space left on device")

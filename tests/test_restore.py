@@ -10,6 +10,7 @@ are accepted, or what any later operation does to the restored state.
 import json
 import logging
 import random
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from arlearn.model import (
 )
 from arlearn.store import open_store
 
-from helpers import F1_INPUT_LITERALS, F1_OUTPUT_LITERALS, F1_ROW_DICTS, random_schema
+from helpers import F1_INPUT_LITERALS, F1_OUTPUT_LITERALS, F1_ROW_DICTS, random_schema, rewrite_stored_rules
 
 INPUTS = [parse_attribute_literal(t) for t in F1_INPUT_LITERALS]
 OUTPUTS = [parse_attribute_literal(t) for t in F1_OUTPUT_LITERALS]
@@ -53,10 +54,6 @@ def persisted(root):
     store.persist_context(engine.context(key))
     store.compact(key)
     return engine, store, key
-
-
-def records(path):
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 def write_records(path, objects) -> None:
@@ -86,9 +83,7 @@ class TestStrictRecords:
     )
     def test_a_rule_record_with_a_bad_value_is_corrupt_meta(self, tmp_path, change):
         engine, store, key = persisted(tmp_path)
-        rules = records(tmp_path / key / "rules.log")
-        change(rules[0])
-        write_records(tmp_path / key / "rules.log", rules)
+        rewrite_stored_rules(tmp_path / key, lambda rules: change(rules[0]))
         assert_corrupt(tmp_path)
 
     @pytest.mark.parametrize("value", [None, 5], ids=["null-value", "number-value"])
@@ -190,22 +185,21 @@ class TestLineSemantics:
 
     def test_blank_lines_and_surrounding_whitespace_are_ignored(self, tmp_path):
         engine, store, key = persisted(tmp_path)
-        for name in ("rows.log", "rules.log"):
-            path = tmp_path / key / name
-            lines = path.read_text(encoding="utf-8").splitlines()
-            lines[1] = "  " + lines[1] + " \t\r"
-            lines.insert(1, "")
-            lines.insert(3, " \t ")
-            path.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
+        path = tmp_path / key / "rows.log"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = "  " + lines[1] + " \t\r"
+        lines.insert(1, "")
+        lines.insert(3, " \t ")
+        path.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
         reopened = open_store(tmp_path).contexts()[key]
         assert context_fingerprint(reopened) == context_fingerprint(engine.context(key))
 
     def test_a_line_with_text_after_its_record_is_corrupt(self, tmp_path):
         engine, store, key = persisted(tmp_path)
-        rules_log = tmp_path / key / "rules.log"
-        lines = rules_log.read_text(encoding="utf-8").splitlines()
+        rows_log = tmp_path / key / "rows.log"
+        lines = rows_log.read_text(encoding="utf-8").splitlines()
         lines[0] += " x"
-        rules_log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows_log.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert_corrupt(tmp_path)
 
     @pytest.mark.parametrize("name", ["rows.log", "journal.log"])
@@ -245,10 +239,11 @@ class TestLineSemantics:
         store.compact(key)
         assert quarantine_log.read_bytes() == intact
 
-    def test_a_torn_rules_tail_is_corrupt(self, tmp_path):
+    def test_a_torn_snapshot_is_corrupt(self, tmp_path):
         engine, store, key = persisted(tmp_path)
-        rules_log = tmp_path / key / "rules.log"
-        rules_log.write_bytes(rules_log.read_bytes() + b'{"antecedent": {"head')
+        meta_path = tmp_path / key / "meta.json"
+        snapshot = meta_path.read_bytes()
+        meta_path.write_bytes(snapshot[: snapshot.index(b'"consequent"')])
         assert_corrupt(tmp_path)
 
     @pytest.mark.parametrize("weight", ["true", "1.0"])
@@ -265,10 +260,12 @@ class TestLineSemantics:
     @pytest.mark.parametrize("value", [None, 1, True], ids=["null", "number", "true"])
     def test_a_rule_reusing_an_itemset_with_a_non_text_value_is_corrupt(self, tmp_path, value):
         engine, store, key = persisted(tmp_path)
-        rules = records(tmp_path / key / "rules.log")
-        rules[0]["antecedent"] = {"headphones": "1"}
-        rules[1]["antecedent"] = {"headphones": value}
-        write_records(tmp_path / key / "rules.log", rules)
+
+        def reuse(rules):
+            rules[0]["antecedent"] = {"headphones": "1"}
+            rules[1]["antecedent"] = {"headphones": value}
+
+        rewrite_stored_rules(tmp_path / key, reuse)
         assert_corrupt(tmp_path)
 
     def test_repeated_lines_restore_as_equal_values(self, tmp_path):
@@ -281,6 +278,27 @@ class TestLineSemantics:
         for rule in restored.rules:
             consequents.setdefault(rule.consequent, []).append(rule.consequent)
         assert all(len({id(c) for c in same}) == 1 for same in consequents.values())
+
+
+def test_a_store_with_its_rules_in_rules_log_opens_and_its_next_snapshot_is_one_file(tmp_path):
+    """A store written before the snapshot was one file: ``meta.json`` without rules, beside ``rules.log``."""
+    engine, store, key = persisted(tmp_path / "one-file")
+    engine.get_current_output(key, MATCHING)
+    engine.send_feedback_last_gco(key, "negative")
+    store.persist_context(engine.context(key))
+    shutil.copytree(tmp_path / "one-file", tmp_path / "two-file")
+    app_dir = tmp_path / "two-file" / key
+    meta = json.loads((app_dir / "meta.json").read_text(encoding="utf-8"))
+    write_records(app_dir / "rules.log", meta.pop("rules"))
+    (app_dir / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
+
+    legacy = open_store(tmp_path / "two-file")
+    expected = context_fingerprint(open_store(tmp_path / "one-file").contexts()[key])
+    assert context_fingerprint(legacy.contexts()[key]) == expected == context_fingerprint(engine.context(key))
+    legacy.persist_context(legacy.contexts()[key])
+    assert (app_dir / "meta.json").read_bytes() == (tmp_path / "one-file" / key / "meta.json").read_bytes()
+    (app_dir / "rules.log").write_text("not a record\n", encoding="utf-8")  # nothing reads it any more
+    assert context_fingerprint(open_store(tmp_path / "two-file").contexts()[key]) == expected
 
 
 def sibling_query(rules):

@@ -357,6 +357,43 @@ def test_a_snapshot_written_before_moved_was_saved_answers_like_a_scan(tmp_path,
             check_feedback(reopened, key, "positive")
 
 
+@pytest.mark.parametrize("writes_through", [0, 1])
+def test_a_remine_whose_store_runs_out_of_space_reopens_whole_and_answers_like_a_scan(
+    tmp_path, served, monkeypatch, writes_through
+):
+    """The remine's snapshot gets ``writes_through`` atomic writes, then every later one fails.
+
+    Reopened, the store holds the state memory answers from: before the
+    request when it failed, after it when it succeeded. It never pairs
+    the new generation's ``moved`` mask with the older, reordered rules.
+    """
+    engine, store, key = served
+    feedback_out_of_order(engine, store, key)
+    store.persist_context(engine.context(key))
+    before = context_fingerprint(engine.context(key))
+    real, written = store_module._atomic_write, []
+
+    def fail_after(path, text):
+        if len(written) == writes_through:
+            failing(path, text)
+        written.append(path.name)
+        real(path, text)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "_atomic_write", fail_after)
+        response = call(engine, store, "generate_rules", key, min_support=0.2, min_confidence=MIN_CONFIDENCE)
+    reopened = Engine.restore(open_store(tmp_path).contexts().values())
+    assert context_fingerprint(reopened.context(key)) == context_fingerprint(engine.context(key))
+    for query in QUERIES:
+        check_query(reopened, key, query)
+    if writes_through == 0:
+        assert response["error"]["code"] == "io-error"
+        assert context_fingerprint(engine.context(key)) == before
+    else:
+        ok(response)  # a snapshot is one write
+        assert written == ["meta.json"]
+
+
 @pytest.mark.parametrize(
     "moved",
     [3, "0", [True], [-1], "rules"],
