@@ -16,6 +16,7 @@ from . import daemon, mining
 from .engine import Engine
 from .errors import EngineError
 from .model import (
+    ALGORITHMS,
     Dataset,
     Schema,
     Thresholds,
@@ -177,7 +178,7 @@ def cmd_inspect(args) -> int:
     print(f"rules: {len(ctx.rules)} (active {active})")
     print(f"generated: {'yes' if ctx.rules_generated else 'no'}")
     print(f"epoch: {ctx.generation_epoch}")
-    print(f"moved: {ctx._index.moved.bit_count()}")
+    print(f"moved: {ctx.moved.bit_count()}")
     return 0
 
 
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--minsup", type=float, required=True)
     p.add_argument("--minconf", type=float, required=True)
-    p.add_argument("--algo", choices=mining.ALGORITHMS, default="apriori")
+    p.add_argument("--algo", choices=ALGORITHMS, default="apriori")
     p.add_argument("--stats", action="store_true")
     p.set_defaults(func=cmd_mine)
 
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", required=True)
     p.add_argument("--minsup", type=float, required=True)
     p.add_argument("--minconf", type=float, required=True)
-    p.add_argument("--algo", choices=mining.ALGORITHMS, default="apriori")
+    p.add_argument("--algo", choices=ALGORITHMS, default="apriori")
     p.add_argument("--every", type=int, default=1, help="regenerate every N learned rows")
     p.set_defaults(func=cmd_replay)
 

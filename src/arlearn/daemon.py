@@ -2,10 +2,10 @@
 
 One connection may multiplex many applications: every request names its
 key. Responses echo the request's correlation id; per-connection response
-order matches request order. With a store, every mutation is durable
-before its response is written, in the order it was made in memory, and
-a request that fails, whether the engine refuses it or its store write
-fails, leaves memory as it was before it: memory is never ahead of disk.
+order matches request order. A request that fails, whether the engine
+refuses it or its store write fails, leaves memory as it was before it.
+With a store, every mutation is durable before its response is written,
+in the order it was made in memory: memory is never ahead of disk.
 ``_VERB_TABLE`` says what each verb writes. A snapshot is one write, so
 ``generate_rules`` and ``set_generation_mode`` make one write each. Of a
 verb with two writes (an automated insert that remines, and
@@ -196,10 +196,10 @@ VERBS = tuple(_VERB_TABLE)
 def dispatch(request: object, engine: Engine, store: Optional[Store] = None) -> dict:
     """Execute one wire request and build the response object.
 
-    With a store, a keyed verb runs under the context's lock from a
-    checkpoint, then its write in ``_VERB_TABLE``; if either fails, the
-    checkpoint is restored. A ``register_app`` whose snapshot fails drops
-    the new application.
+    A keyed verb runs under the context's lock from a checkpoint, then,
+    with a store, its write in ``_VERB_TABLE``; if either fails, the
+    checkpoint is restored, with or without a store. A ``register_app``
+    whose snapshot fails drops the new application.
     """
     rid = request.get("id") if isinstance(request, Mapping) else None
     try:
@@ -225,16 +225,14 @@ def dispatch(request: object, engine: Engine, store: Optional[Store] = None) -> 
                     raise
         elif not isinstance(key, str):
             raise EngineError("malformed-params", f"{verb} requires a key")
-        elif store is None:
-            engine.context(key)  # an unknown key is refused before the params are read
-            result = handler(engine, key, params)
         else:
-            ctx = engine.context(key)
+            ctx = engine.context(key)  # an unknown key is refused before the params are read
             with ctx.lock:
                 saved = ctx.checkpoint()
                 try:
                     result = handler(engine, key, params)
-                    write(store, ctx, saved)
+                    if store is not None:
+                        write(store, ctx, saved)
                 except BaseException:
                     ctx.restore(saved)
                     raise

@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import mining
 from .errors import EngineError
 from .model import (
+    ALGORITHMS,
     INPUT,
     OUTPUT,
     AttributeSchema,
@@ -81,8 +81,8 @@ class GenerationConfig:
     algorithm: str
 
     def __post_init__(self):
-        if self.algorithm not in mining.ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {mining.ALGORITHMS}")
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
 
     def to_dict(self) -> dict:
         return {
@@ -98,24 +98,21 @@ class GenerationConfig:
 
 @dataclass(frozen=True)
 class GcoRecord:
-    """What the last get_current_output matched, for feedback."""
+    """What the last get_current_output matched: the rule feedback finds, and its generation."""
 
-    inputs: ItemSet
     rule_id: str
     epoch: int
-    timestamp: float
 
     def to_dict(self) -> dict:
-        return {
-            "inputs": self.inputs.as_mapping(),
-            "rule": self.rule_id,
-            "epoch": self.epoch,
-            "t": self.timestamp,
-        }
+        return {"rule": self.rule_id, "epoch": self.epoch}
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "GcoRecord":
-        return cls(ItemSet.from_record(obj["inputs"]), obj["rule"], obj["epoch"], obj["t"])
+        """The record ``to_dict`` wrote; other keys are ignored, and a bad value raises ``ValueError``."""
+        rule_id, epoch = obj["rule"], obj["epoch"]
+        if not (isinstance(rule_id, str) and _is_count(epoch)):
+            raise ValueError(f"a match needs a text rule and a count epoch, got {rule_id!r}, {epoch!r}")
+        return cls(rule_id, epoch)
 
 
 @dataclass(frozen=True)
@@ -143,31 +140,26 @@ class _RuleIndex:
     changing its antecedent or identity, so what is built here holds for
     the whole generation; ``AppContext.new_generation`` makes a new index,
     and ``AppContext.restore`` puts back the rules and the index together.
-    It keeps positions and identity strings, never a ``Rule``.
+    It keeps positions and identity strings, never a ``Rule``, and only
+    caches built from the generation's rules, so a checkpoint may share it.
 
-    ``moved`` masks the positions that may be out of ``_match_order``; the
-    rules outside it are in match order, so among them the first active
-    match in the list wins, and only the matching rules in ``moved`` can
-    beat it. A superset is safe and only costs time. A mined generation
-    starts at 0, ``AppContext.set_rule`` sets the bit of each rule it
-    replaces, and a restore starts from the mask its snapshot saved. A
-    checkpoint shares the index, so a rolled-back change leaves its bit
-    set.
+    ``best_match`` takes ``AppContext.moved``, the positions that may be
+    out of ``_match_order``; the rules outside it are in match order, so
+    among them the first active match in the list wins, and only the
+    matching rules in ``moved`` can beat it.
     """
 
-    __slots__ = ("queries", "unbound", "bound", "positions", "moved")
+    __slots__ = ("queries", "unbound", "bound", "positions")
 
-    def __init__(self, moved: int):
+    def __init__(self):
         self.queries = 0
         # the masks are built on the generation's second query
         self.unbound: dict[str, int] = {}  # attribute -> rules leaving it unbound
         self.bound: dict[str, dict[str, int]] = {}  # attribute -> value -> rules binding it
         self.positions: Optional[dict[str, int]] = None  # identity -> position
-        self.moved = moved
 
-    def best_match(self, rules: Sequence[Rule], query: ItemSet) -> Optional[Rule]:
+    def best_match(self, rules: Sequence[Rule], query: ItemSet, moved: int) -> Optional[Rule]:
         self.queries += 1
-        moved = self.moved
         best = None
         if self.queries == 1:
             for position, rule in enumerate(rules):
@@ -254,6 +246,7 @@ class AppContext:
         "config",
         "last_gco",
         "generation_epoch",
+        "moved",
         "lock",
         "_index",
         "search",
@@ -271,13 +264,15 @@ class AppContext:
         self.config: Optional[GenerationConfig] = None
         self.last_gco: Optional[GcoRecord] = None
         self.generation_epoch = 0
+        # positions that may be out of ``_match_order``: a superset is safe and only costs time
+        self.moved = 0
         self.lock = threading.RLock()
-        self._index = _RuleIndex(0)
+        self._index = _RuleIndex()
         self.search: Optional[mining.Search] = None  # the last apriori or maxminer mine's, to continue
 
     def best_match(self, query: ItemSet) -> Optional[Rule]:
         """The active rule whose antecedent ``query`` holds, first in ``_match_order``."""
-        return self._index.best_match(self.rules, query)
+        return self._index.best_match(self.rules, query, self.moved)
 
     def rule_position(self, rule_id: str) -> Optional[int]:
         """The position in ``rules`` of the rule with identity ``rule_id``, if it is there."""
@@ -286,14 +281,15 @@ class AppContext:
     def set_rule(self, position: int, rule: Rule) -> None:
         """Put ``rule``, which keeps the antecedent and identity of the one there, at ``position``."""
         self.rules[position] = rule
-        self._index.moved |= 1 << position
+        self.moved |= 1 << position
 
     def checkpoint(self) -> "AppContext":
         """A copy of this context for ``restore``.
 
         The lists a request changes in place (rules, quarantine and the
         dataset's rows) are copied; every other slot is shared, because
-        requests replace those values and never change them.
+        requests replace those values and never change them, or, for the
+        index, only cache what the generation's rules determine.
         """
         saved = object.__new__(AppContext)
         saved.restore(self)  # shares every slot
@@ -312,12 +308,13 @@ class AppContext:
         """Replace the rules with a new generation, given in ``_match_order``: the epoch moves and the index goes."""
         self.rules = rules
         self.generation_epoch += 1
-        self._index = _RuleIndex(0)
+        self.moved = 0
+        self._index = _RuleIndex()
 
     def state_dict(self) -> dict:
         """Context metadata as one JSON-able object, without rows or rules (``moved`` as positions)."""
         inputs, outputs = self.schema.to_literals() if self.schema else (None, None)
-        moved = self._index.moved
+        moved = self.moved
         return {
             "key": self.key,
             "name": self.name,
@@ -359,14 +356,14 @@ class AppContext:
         moved = state.get("moved", range(len(ctx.rules)))
         if not isinstance(moved, (list, range)) or not all(_is_count(p) and p < len(ctx.rules) for p in moved):
             raise ValueError(f"moved must list positions among {len(ctx.rules)} rules, got {moved!r}")
-        ctx._index = _RuleIndex(sum(1 << p for p in set(moved)))
+        ctx.moved = sum(1 << p for p in set(moved))
         return ctx
 
 
 def context_fingerprint(ctx: AppContext) -> str:
     """Canonical serialization of the full context, for exact-state comparison."""
     state = ctx.state_dict()
-    del state["moved"]  # a hint: it may keep a rolled-back change's bit, and any superset answers alike
+    del state["moved"]  # any superset answers alike, and a snapshot from before it was kept marks every position
     state["rows"] = [r.to_dict() for r in (ctx.dataset if ctx.dataset is not None else ())]
     state["quarantine"] = [r.to_dict() for r in ctx.quarantine]
     state["rules"] = [r.to_dict() for r in ctx.rules]
@@ -539,7 +536,7 @@ class Engine:
             if best is None:
                 ctx.last_gco = None
                 return None
-            ctx.last_gco = GcoRecord(query, best.identity, ctx.generation_epoch, time.time())
+            ctx.last_gco = GcoRecord(best.identity, ctx.generation_epoch)
             return InferenceResult(best.consequent, best.confidence, best)
 
     def send_feedback_last_gco(self, key: str, verdict: str) -> float:

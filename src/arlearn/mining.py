@@ -68,8 +68,8 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, S
 
 from .errors import EngineError
 from .model import (
+    ALGORITHMS,
     INPUT,
-    RULE_SOURCES,
     Dataset,
     Item,
     ItemSet,
@@ -79,7 +79,6 @@ from .model import (
     TrainingRow,
 )
 
-ALGORITHMS = RULE_SOURCES
 MAX_ORACLE_ITEMS = 20
 
 # A dataset, or raw transactions: bare item collections (weight 1) or

@@ -24,7 +24,7 @@ OUTPUT = "output"
 KINDS = (INPUT, OUTPUT)
 
 # the mining algorithms, each the source of the rules it mines
-RULE_SOURCES = ("apriori", "maxminer", "id3")
+ALGORITHMS = ("apriori", "maxminer", "id3")
 
 KEY_LENGTH = 32
 KEY_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
@@ -445,8 +445,8 @@ class Rule:
             raise ValueError(f"support {self.support} outside [0,1]")
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence {self.confidence} outside [0,1]")
-        if self.source not in RULE_SOURCES:
-            raise ValueError(f"rule source must be one of {RULE_SOURCES}")
+        if self.source not in ALGORITHMS:
+            raise ValueError(f"rule source must be one of {ALGORITHMS}")
 
     @cached_property
     def identity(self) -> str:

@@ -9,8 +9,10 @@ Layout per key:
   rules are read from ``rules.log``, one JSON line each.
 - ``rows.log`` and ``quarantine.log`` are append-only JSON lines of rows.
 - ``journal.log`` is append-only JSON lines of the small changes made
-  since the snapshot. A ``gco`` record holds the new ``last_gco`` (null
-  when nothing matched). A ``feedback`` record holds one rule's identity
+  since the snapshot. A ``gco`` record holds the new ``last_gco``, the
+  matched rule's identity and epoch (null when nothing matched); the
+  query's ``inputs`` and time ``t`` that older records also hold are
+  ignored. A ``feedback`` record holds one rule's identity
   and its new absolute ``confidence`` and ``active``, and clears
   ``last_gco``. Every record carries the ``generation_epoch`` it was
   written under.

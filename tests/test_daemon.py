@@ -1,8 +1,11 @@
 import json
 import socket
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arlearn.store as store_module
 from arlearn.daemon import VERBS, dispatch, make_server, parse_endpoint
@@ -248,6 +251,11 @@ def fingerprints(contexts):
     return {ctx.key: context_fingerprint(ctx) for ctx in contexts}
 
 
+def states(contexts):
+    """Each context's ``state_dict``, which, unlike its fingerprint, holds ``moved``."""
+    return {ctx.key: ctx.state_dict() for ctx in contexts}
+
+
 def no_space(*args):
     raise OSError(28, "No space left on device")
 
@@ -297,11 +305,14 @@ class TestFailedWrites:
         target, params, write = FAILING_WRITES[verb]
         key = apps.get(target)
         before = fingerprints(engine.contexts())
+        before_states = states(engine.contexts())
         with monkeypatch.context() as patch:
             patch.setattr(store_module, write, no_space)
             must_err(call(engine, verb, key, store=store, **params), "io-error")
         assert fingerprints(engine.contexts()) == before
+        assert states(engine.contexts()) == before_states
         assert fingerprints(open_store(tmp_path).contexts().values()) == before
+        assert states(open_store(tmp_path).contexts().values()) == before_states
         must_ok(call(engine, verb, key, store=store, **params))
         assert fingerprints(open_store(tmp_path).contexts().values()) == fingerprints(engine.contexts())
 
@@ -338,6 +349,96 @@ class TestFailedWrites:
         assert open_store(tmp_path).contexts() == {}
         key = must_ok(call(engine, "register_app", store=store, name="App"))["key"]
         assert list(open_store(tmp_path).contexts()) == [key]
+
+
+def request_params(verb, choice):
+    """One of a few params for ``verb``, picked by ``choice``."""
+    row = F1_ROW_DICTS[choice % len(F1_ROW_DICTS)]
+    return {
+        "register_app": {"name": ("A", "B")[choice % 2]},
+        "set_input_output": SCHEMA_PARAMS,
+        "load_training_data": {"rows": F1_ROW_DICTS[choice % 4 :]},
+        "set_training_data_row": {"row": row},
+        "generate_rules": {
+            "min_support": (0.2, 0.4)[choice % 2],
+            "min_confidence": 0.5,
+            "algorithm": ("apriori", "maxminer", "id3")[choice % 3],
+        },
+        "set_generation_mode": {"mode": ("automated", "manual")[choice % 2]},
+        "get_current_output": {"inputs": (row["inputs"], {"headphones": "yes"}, {})[choice % 3]},
+        "send_feedback_last_gco": {"verdict": ("negative", "positive")[choice % 2]},
+        "delete_training_data": {},
+        "delete_training_data_row": {"match": row["inputs"], "mode": ("first", "all")[choice % 2]},
+        "change_inputs_outputs": (
+            {"inputs": ["headphones:input:{yes,no}"], "outputs": F1_OUTPUT_LITERALS},
+            SCHEMA_PARAMS,
+        )[choice % 2],
+    }[verb]
+
+
+def by_name(contexts):
+    """Each context's ``state_dict`` and fingerprint under its name, without its random key."""
+    described = {}
+    for ctx in contexts:
+        state, whole = ctx.state_dict(), json.loads(context_fingerprint(ctx))
+        del state["key"], whole["key"]
+        described[ctx.name] = (state, whole)
+    return described
+
+
+SETUP = [("register_app", 0, 0), ("set_input_output", 0, 0), ("load_training_data", 0, 0), ("generate_rules", 0, 0)]
+# feedback needs a match just before it, so queries and feedback are drawn more often
+DRAWN_VERBS = [v for v in VERBS if v != "ping"] + ["get_current_output", "send_feedback_last_gco"] * 3
+STEPS = st.lists(
+    st.tuples(
+        st.tuples(st.sampled_from(DRAWN_VERBS), st.integers(0, 1), st.integers(0, 5)),
+        st.integers(0, 3).map(lambda n: n == 0),  # whether the request's first store write fails
+    ),
+    min_size=4,
+    max_size=25,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=STEPS)
+def test_dispatch_with_a_store_equals_a_reference_fed_the_acknowledged_requests(steps):
+    """Every response and context equals that of a store-less engine given only the acknowledged requests."""
+    system, reference = Engine(), Engine()
+    keys = {}  # the system's key of each acknowledged application -> the reference's
+    armed = []  # while it holds a value, the next store write fails
+
+    def first_write_fails(real):
+        def write(*args):
+            if armed:
+                armed.clear()
+                no_space()
+            return real(*args)
+
+        return write
+
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
+        store = open_store(root)
+        for name in ("_append", "_atomic_write"):
+            patch.setattr(store_module, name, first_write_fails(getattr(store_module, name)))
+        for (verb, app, choice), fails in [(step, False) for step in SETUP] + steps:
+            if verb == "register_app":
+                key = None
+            elif keys:
+                key = list(keys)[app % len(keys)]
+            else:
+                continue
+            armed[:] = [True] if fails else []
+            response = call(system, verb, key, store, **request_params(verb, choice))
+            if fails and not armed:
+                must_err(response, "io-error")
+            elif response["ok"]:
+                expected = must_ok(call(reference, verb, keys.get(key), **request_params(verb, choice)))
+                if verb == "register_app":
+                    keys[response["result"]["key"]] = expected["key"]
+                    expected = response["result"]
+                assert response["result"] == expected
+            assert by_name(system.contexts()) == by_name(reference.contexts())
+        assert by_name(open_store(root).contexts().values()) == by_name(reference.contexts())
 
 
 class _Client:

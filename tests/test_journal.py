@@ -69,14 +69,14 @@ class TestWhatEachVerbWrites:
         engine, store, key = served
         before = (tmp_path / key / "meta.json").stat()
         fsyncs = FsyncCount(monkeypatch)
-        ok(call(engine, store, "get_current_output", key, inputs=MATCHING))
+        matched = ok(call(engine, store, "get_current_output", key, inputs=MATCHING))
         ok(call(engine, store, "get_current_output", key, inputs={"hour": "evening"}))
         assert fsyncs.n == 2
         records = [json.loads(line) for line in (tmp_path / key / "journal.log").read_text().splitlines()]
         assert [r["op"] for r in records] == ["gco", "gco"]
-        assert records[0]["last_gco"]["inputs"] == MATCHING
-        assert records[1]["last_gco"] is None
         epoch = engine.context(key).generation_epoch
+        assert records[0]["last_gco"] == {"rule": matched["rule_id"], "epoch": epoch}
+        assert records[1]["last_gco"] is None
         assert all(r["generation_epoch"] == epoch for r in records)
         assert (tmp_path / key / "journal.log").stat().st_size < 1024
         after = (tmp_path / key / "meta.json").stat()

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arlearn.daemon import dispatch
 from arlearn.engine import Engine, context_fingerprint
 from arlearn.errors import EngineError
 from arlearn.model import (
@@ -90,7 +91,7 @@ class TestStrictRecords:
     def test_a_journaled_match_with_a_bad_value_is_corrupt_meta(self, tmp_path, value):
         engine, store, key = persisted(tmp_path)
         epoch = engine.context(key).generation_epoch
-        last_gco = {"inputs": {"headphones": value}, "rule": "r", "epoch": epoch, "t": 0.0}
+        last_gco = {"rule": value, "epoch": epoch}
         write_records(tmp_path / key / "journal.log", [{"op": "gco", "generation_epoch": epoch, "last_gco": last_gco}])
         assert_corrupt(tmp_path)
 
@@ -101,7 +102,7 @@ class TestStrictRecords:
         store.persist_context(engine.context(key))
         meta_path = tmp_path / key / "meta.json"
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        meta["last_gco"]["inputs"]["hour"] = value
+        meta["last_gco"]["rule"] = value
         meta_path.write_text(json.dumps(meta), encoding="utf-8")
         assert_corrupt(tmp_path)
 
@@ -299,6 +300,31 @@ def test_a_store_with_its_rules_in_rules_log_opens_and_its_next_snapshot_is_one_
     assert (app_dir / "meta.json").read_bytes() == (tmp_path / "one-file" / key / "meta.json").read_bytes()
     (app_dir / "rules.log").write_text("not a record\n", encoding="utf-8")  # nothing reads it any more
     assert context_fingerprint(open_store(tmp_path / "two-file").contexts()[key]) == expected
+
+
+@pytest.mark.parametrize("place", ["meta.json", "journal.log"])
+def test_a_match_stored_with_its_inputs_and_time_opens_and_takes_feedback(tmp_path, place):
+    """A match written before it kept only the rule and epoch also holds the query's ``inputs`` and a time ``t``."""
+    engine, store, key = persisted(tmp_path)
+    ctx = engine.context(key)
+    engine.get_current_output(key, MATCHING)
+    match = {**ctx.last_gco.to_dict(), "inputs": MATCHING, "t": 1700000000.25}
+    app_dir = tmp_path / key
+    if place == "meta.json":
+        meta = json.loads((app_dir / "meta.json").read_text(encoding="utf-8"))
+        meta["last_gco"] = match
+        (app_dir / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
+    else:
+        write_records(app_dir / "journal.log", [{"op": "gco", "generation_epoch": ctx.generation_epoch, "last_gco": match}])
+
+    reopened = open_store(tmp_path)
+    assert reopened.contexts()[key].last_gco == ctx.last_gco
+    request = {"request": "send_feedback_last_gco", "key": key, "params": {"verdict": "negative"}}
+    response = dispatch(request, Engine.restore(reopened.contexts().values()), reopened)
+    assert response["result"] == {"confidence": engine.send_feedback_last_gco(key, "negative")}
+    restored = open_store(tmp_path).contexts()[key]
+    assert context_fingerprint(restored) == context_fingerprint(ctx)
+    assert restored.state_dict() == ctx.state_dict()
 
 
 def sibling_query(rules):
