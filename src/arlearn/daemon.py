@@ -164,6 +164,11 @@ def _compaction(store: Store, ctx: AppContext, saved: AppContext) -> None:
     store.compact(ctx.key)
 
 
+def _rows_compaction(store: Store, ctx: AppContext, saved: AppContext) -> None:
+    """The rows log alone: deleting rows leaves the quarantine as it was."""
+    store.compact(ctx.key, quarantine=False)
+
+
 def _feedback(store: Store, ctx: AppContext, saved: AppContext) -> None:
     store.record_feedback(ctx, saved.last_gco.rule_id)
 
@@ -186,7 +191,7 @@ _VERB_TABLE: dict[str, tuple[Callable, Optional[Callable[[Store, AppContext, App
     "get_current_output": (_h_get_current_output, lambda store, ctx, saved: store.record_gco(ctx)),
     "send_feedback_last_gco": (_h_send_feedback_last_gco, _feedback),
     "delete_training_data": (_h_delete_training_data, _compaction),
-    "delete_training_data_row": (_h_delete_training_data_row, _compaction),
+    "delete_training_data_row": (_h_delete_training_data_row, _rows_compaction),
     "change_inputs_outputs": (_h_change_inputs_outputs, _migration),
     "ping": (_h_ping, None),
 }

@@ -22,17 +22,17 @@ Building the index costs several scans, so a generation queried once is
 never indexed. A new generation gets a new index.
 
 Each context keeps its last apriori or maxminer search (``ctx.search``)
-for ``mining.remine``, which continues it while its rows are a prefix of
-the dataset's, so a remine after appended rows (automated mode, replay)
-counts only the appended rows' subsets and judges again only the rules
-they touch. Deletes, migrations and rollbacks need not drop it: the
-prefix check sees them. A search is stored only once its mine has
-completed and never changes, so a checkpoint may share it. Its rules are
-the objects ``ctx.rules`` starts from, and a remine, continued or not
-(after a delete), copies each one whose confidence did not change with a
-new support. Feedback replaces a rule in ``ctx.rules`` and leaves the
-search's rule as mined, so a copy never carries feedback. An ID3 mine
-keeps no search.
+for ``mining.remine``, which continues it across appended and deleted
+rows while the dataset does not weigh less than the search's rows. So a
+remine after inserts (automated mode, replay), or after inserts and a
+delete, counts only the sets the changed rows hold. Deletes, migrations
+and rollbacks need not drop the search: ``remine`` compares its rows
+with the dataset's and sees them. A search is stored only once its mine
+has completed and never changes, so a checkpoint may share it. Its rules
+are the objects ``ctx.rules`` starts from, and a remine, continued or
+not, copies each one whose confidence did not change with a new support.
+Feedback replaces a rule in ``ctx.rules`` and leaves the search's rule
+as mined, so a copy never carries feedback. An ID3 mine keeps no search.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import mining
@@ -585,15 +586,14 @@ class Engine:
                     raise EngineError(
                         "invalid-attribute", f"{attr!r} is not a declared input attribute"
                     )
-            hits = [
+            hits = (
                 i
                 for i, row in enumerate(dataset)
                 if all(row.inputs.get(a) == v for a, v in input_match.items())
-            ]
-            if not hits:
-                return 0
-            doomed = hits[:1] if mode == "first" else hits
-            dataset.remove_at(doomed)
+            )
+            doomed = list(islice(hits, 1) if mode == "first" else hits)
+            if doomed:
+                dataset.remove_at(doomed)
             return len(doomed)
 
     def change_inputs_outputs(

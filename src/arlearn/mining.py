@@ -33,28 +33,30 @@ frequent id tuple. The public ``apriori``, ``max_miner``,
 ``FrequentItemSet`` objects with the checking constructor, or intern
 them back into ids, for tests, the benchmark and the oracle.
 
-A carried search (FUP: Cheung et al., ICDE 1996). ``remine`` is ``mine``
-that also takes and returns a ``Search``: the rows mined, the thresholds
-and schema, their layout, the frequent family and the emitted rules.
-Apriori and maxminer find the same family, so one search serves both,
-and either may continue the other's. It continues the search when the
-dataset's first rows are the search's rows under the same
-``min_support``: the layout grows by one bit per appended row,
-``_delta`` counts only the appended rows' subsets and carries every
-other set, and ``_derive`` judges only the sets those rows touched and
-the carried rules. Otherwise, or when the appended rows have more
-subsets than the family has sets, the search is exactly a fresh mine by
-the algorithm asked for. A search is a pure function of its rows,
-thresholds and schema and never changes, so that check is its whole
-validity, and no caller needs an invalidation hook.
+A carried search (FUP: Cheung et al., ICDE 1996; FUP2: Cheung, Lee and
+Kao, DASFAA 1997). ``remine`` is ``mine`` that also takes and returns a
+``Search``: the rows mined, the thresholds and schema, their layout, the
+frequent family and the emitted rules. Apriori and maxminer find the
+same family, so one search serves both, and either may continue the
+other's. It continues the search under the same ``min_support`` when the
+dataset's rows are the search's rows with some deleted and others
+appended, and the appended rows weigh at least as much as the deleted
+ones: the layout loses the deleted rows' bits and gains one per
+appended row, ``_delta`` counts only the sets a changed row holds and
+carries every other set, and ``_derive`` judges the sets that may have
+changed. Otherwise (the total would fall, most of the search's rows
+were deleted, or an appended row brings an item never seen) the search
+is exactly a fresh mine by the algorithm asked for. A search is a pure function of its rows, thresholds and
+schema and never changes, so that comparison is its whole validity, and
+no caller needs an invalidation hook.
 
-Either way the search's rules are handed to ``_derive``, when its ids
-name the same items under the same schema (a fresh search after a
-delete usually does). A rule whose source and confidence did not change
-is then issued as that rule with only its support replaced. That is
-exact: a mined rule's other fields are functions of its id tuple, the
-schema, its source and its confidence, and the search's rules are never
-changed (feedback replaces the engine's copy of a rule).
+Either way the search's rules are handed to ``_derive`` when its ids
+name the same items, split alike into inputs and outputs. A rule whose
+source and confidence did not change is then issued as that rule with
+only its support replaced. That is exact: a mined rule's other fields are
+functions of its id tuple, the schema, its source and its confidence,
+and the search's rules are never changed (feedback replaces the
+engine's copy of a rule).
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, groupby, repeat
+from operator import and_
 from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import EngineError
@@ -96,9 +99,11 @@ class MiningStats:
     ``rules_emitted`` every rule returned. A fresh mine counts the search
     its algorithm ran (Max-Miner's alone for maxminer). A remine that
     continues a search (see ``remine``) describes the delta, whatever the
-    algorithm: it counts as candidates the appended rows' subsets, in one
-    pass if any row was appended, and its emitted rules include those
-    carried from the search. ``rules_reissued`` counts the emitted rules
+    algorithm: it counts as candidates the sets it counted that a changed
+    (deleted or appended) row holds, either every subset of those rows in
+    one pass or the level-wise candidates one pass per level (see
+    ``_delta``), and its emitted rules include those carried from the
+    search. ``rules_reissued`` counts the emitted rules
     that are copies of the last search's with a new support (see
     ``_derive``). It is left out of ``==``: it counts objects reused, not
     work the search did, so a remine that searched afresh still equals a
@@ -203,7 +208,8 @@ class _Tidsets:
     Row ``r`` is bit ``r``. ``items[i]`` is the item with id ``i`` and
     ``rows[i]`` its tidset; ids ascend in ``Item`` order. ``classes``
     holds one ``(weight, row mask)`` pair per distinct row weight. A
-    layout is never changed once built: ``grown`` makes a longer one.
+    layout is never changed once built: ``edited`` makes a new one with
+    rows deleted and appended.
 
     It is built one column at a time. Each role (a dataset's inputs and
     outputs, or a raw transaction's items) is a list of ``{attribute:
@@ -223,7 +229,7 @@ class _Tidsets:
     2000-row column of 3 values and tied with it near 32 values; at 200
     rows they tied near 16 values, and at 40 rows the OR kernel won at
     any count. Hence translation for at most one value per 64 rows and at
-    most 32 values. Appended rows (``grown``) still take one step per
+    most 32 values. Appended rows (``edited``) still take one step per
     pair, since only they are touched.
     """
 
@@ -273,31 +279,54 @@ class _Tidsets:
             self.count = lambda rows: sum(w * (rows & members).bit_count() for w, members in weighted)
         self.total = self.count(all_rows)
 
-    def grown(self, rows: Sequence[TrainingRow]) -> Optional[tuple["_Tidsets", list[tuple[int, ...]]]]:
-        """This layout with ``rows`` appended as its next bits, and each row's ascending id tuple.
+    def edited(
+        self, deleted: Sequence[int], rows: Sequence[TrainingRow]
+    ) -> Optional[tuple["_Tidsets", list[tuple[int, ...]]]]:
+        """This layout without the rows at the ascending bits ``deleted``, then with ``rows`` appended.
 
-        None if the rows bring a new item. The new layout shares ``items``
-        and ``ids``; this one is unchanged.
+        Each deleted bit is squeezed out of every tidset and weight class
+        (a class left empty goes), so row ``r`` of the edited rows is still
+        bit ``r``; then each appended row takes the next bit. Also returns
+        the ascending id tuple of every changed row, deleted and then
+        appended. None if an appended row brings a new item. The new
+        layout shares ``items`` and ``ids``; this one is unchanged.
         """
-        tidsets = list(self.rows)
-        classes = dict(self.classes)
-        held: list[tuple[int, ...]] = []
-        bit = self.all_rows + 1
+        appended: list[tuple[int, ...]] = []
         for row in rows:
-            ids = []
-            for pair in (*row.inputs.items(), *row.outputs.items()):
-                i = self.ids.get(pair)  # an Item is a tuple, so the pair finds it
-                if i is None:
-                    return None
+            ids = [self.ids.get(pair) for pair in (*row.inputs.items(), *row.outputs.items())]
+            if None in ids:  # an Item is a tuple, so a known pair finds it
+                return None
+            appended.append(tuple(sorted(ids)))
+        gone = [tuple(i for i, t in enumerate(self.rows) if t >> d & 1) for d in deleted]
+        # each run of kept bits as (its lowest bit, a mask of its width, where it lands)
+        runs, start, at = [], 0, 0
+        for end in (*deleted, self.all_rows.bit_length()):
+            if end > start:
+                runs.append((start, (1 << (end - start)) - 1, at))
+                at += end - start
+            start = end + 1
+
+        def squeeze(mask: int) -> int:
+            out = 0
+            for low, width, to in runs:
+                out |= (mask >> low & width) << to
+            return out
+
+        if deleted:
+            tidsets = list(map(squeeze, self.rows))
+            classes = {w: kept for w, members in self.classes if (kept := squeeze(members))}
+        else:
+            tidsets, classes = list(self.rows), dict(self.classes)
+        bit = 1 << at
+        for row, ids in zip(rows, appended):
+            for i in ids:
                 tidsets[i] |= bit
-                ids.append(i)
-            held.append(tuple(sorted(ids)))
             classes[row.weight] = classes.get(row.weight, 0) | bit
             bit <<= 1
-        grown = object.__new__(_Tidsets)
-        grown.items, grown.ids = self.items, self.ids
-        grown._fill(tidsets, classes, bit - 1)
-        return grown, held
+        edited = object.__new__(_Tidsets)
+        edited.items, edited.ids = self.items, self.ids
+        edited._fill(tidsets, classes, bit - 1)
+        return edited, gone + appended
 
     def tidset(self, items: Iterable[Item]) -> int:
         """The rows holding every one of ``items``; none if one never occurs."""
@@ -351,20 +380,31 @@ def apriori(
     return v.freeze(_apriori(v, min_support, stats if stats is not None else MiningStats()))
 
 
-def _apriori(v: _Tidsets, min_support: float, stats: MiningStats) -> Family:
+def _apriori(v: _Tidsets, min_support: float, stats: MiningStats, holders: Optional[list[int]] = None) -> Family:
     """``apriori``'s search over ids: every frequent id tuple with its count.
 
     Each level's candidates come from ``_join`` over the level before, and
     each is counted on the whole layout: its rows are its prefix's rows
-    ANDed with its last item's.
+    ANDed with its last item's. Given ``holders``, per item a mask over
+    some rows (a remine's changed rows) holding it, only the sets one of
+    those rows holds are counted and returned: a set's mask is the AND of
+    its items', and every subset of such a set is one too, so the join
+    over them misses none.
     """
     p, q = threshold_ratio(min_support)
     need = p * v.total
     attribute = [item.attribute for item in v.items]
     result: Family = {}
     level: dict[tuple[int, ...], int] = {(): v.all_rows}  # frequent set -> tidset
+    held = {(): -1}  # with holders: candidate -> mask of the rows marked that hold it
     candidates = [(i,) for i in range(len(v.items))]
     while True:
+        if holders is not None:
+            for cand in candidates:
+                held[cand] = held[cand[:-1]] & holders[cand[-1]]
+            candidates = [cand for cand in candidates if held[cand]]
+            if not candidates:
+                return result
         stats.support_counting_passes += 1
         stats.candidates_generated += len(candidates)
         next_level: dict[tuple[int, ...], int] = {}
@@ -686,16 +726,19 @@ def remine(
     either continues ``last`` whichever of them made it; after a switch
     every rule is rebuilt under its new ``source``. The algorithm only
     chooses which fresh search runs. ``last`` is continued (see
-    ``_delta``) only under the same ``min_support`` when its rows are the
-    dataset's first rows, compared with ``==``, which passes over
-    identical row objects without comparing them; the stats then describe
-    the delta, not a search by the algorithm. Otherwise (rows deleted,
-    cleared or migrated), when an appended row brings an item ``last``
-    never saw and so would renumber the ids, or when the appended rows
-    have more subsets than ``last`` has frequent sets, the search and its
-    stats are exactly ``mine``'s; its rules may still be ``last``'s copied
-    with a new support (see ``_derive``), which equal the rules ``mine``
-    builds.
+    ``_delta``) only under the same ``min_support``. ``_changes`` finds
+    which of its rows the dataset deleted and which rows it appended;
+    a prefix is one list comparison, which passes over identical row
+    objects without comparing them. The stats then describe the delta,
+    not a search by the algorithm. The search and its stats are exactly
+    ``mine``'s when the deleted rows weigh more than the appended ones
+    (the need ``p·total`` would fall, and a set no changed row holds
+    could become frequent), when more than half of ``last``'s rows were
+    deleted (as after a migration that rewrites most rows, where editing
+    the layout costs more than building it), or when an appended row
+    brings an item ``last`` never saw and so would renumber the ids. Its
+    rules may still be ``last``'s copied with a new support (see
+    ``_derive``), which equal the rules ``mine`` builds.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")
@@ -713,13 +756,18 @@ def remine(
         return list(rules), stats, None
     min_support, min_confidence, schema = thresholds.min_support, thresholds.min_confidence, dataset.schema
     rows = list(dataset)
-    grown = None
-    if last is not None and last.min_support == min_support and rows[: len(last.rows)] == last.rows:
-        grown = last.tidsets.grown(rows[len(last.rows) :])
-    if grown is not None and sum(1 << len(ids) for ids in grown[1]) <= len(last.family):
-        v, held = grown
-        family, judged = _delta(last, v, held, min_confidence, schema, stats)
-        previous = last.rules
+    edited = None
+    if last is not None and last.min_support == min_support:
+        deleted, appended = _changes(last.rows, rows)
+        lost = sum(last.rows[d].weight for d in deleted)
+        # the total must not fall, and a layout that loses most of its rows is cheaper built afresh
+        if lost <= sum(row.weight for row in appended) and 2 * len(deleted) <= len(last.rows):
+            edited = last.tidsets.edited(deleted, appended)
+    if edited is not None:
+        v, changed = edited
+        family, judged = _delta(last, v, changed, bool(deleted), min_confidence, schema, stats)
+        # after a delete under a new schema an item of a carried rule may have changed role
+        previous = last.rules if not deleted or schema == last.schema else {}
     else:
         v = _Tidsets(dataset)
         if algorithm == "apriori":
@@ -736,35 +784,75 @@ def remine(
     return list(derived.values()), stats, search
 
 
+def _changes(old: list[TrainingRow], new: list[TrainingRow]) -> tuple[list[int], list[TrainingRow]]:
+    """How ``new`` is ``old`` edited: the positions of the old rows deleted, and the rows appended.
+
+    ``new`` is then ``old`` without the deleted rows, followed by the
+    appended ones. Rows compare by ``is``, then ``==``. A prefix is
+    checked first, in one list comparison; otherwise each old row is
+    matched in turn to the first new row not yet matched, or deleted.
+    """
+    if new[: len(old)] == old:
+        return [], new[len(old) :]
+    deleted, j = [], 0
+    for i, row in enumerate(old):
+        if j < len(new) and (new[j] is row or new[j] == row):
+            j += 1
+        else:
+            deleted.append(i)
+    return deleted, new[j:]
+
+
 def _delta(
     last: Search,
     v: _Tidsets,
-    held: list[tuple[int, ...]],
+    changed: list[tuple[int, ...]],
+    deleted: bool,
     min_confidence: float,
     schema: Schema,
     stats: MiningStats,
 ) -> tuple[Family, Iterable[tuple[int, ...]]]:
-    """``last``'s family continued over ``v``, its layout with the rows ``held`` (by id tuple) appended.
+    """``last``'s family continued over ``v``, its layout edited by the rows ``changed`` (by id tuple).
 
     Returns the frequent family and the sets ``_derive`` must judge. It
-    builds no rule. Weights are positive, so the need ``p·total`` never
-    falls, and a set no appended row holds keeps its count: it stays
-    frequent only if that count still meets the need. Every set a row
-    holds is counted on ``v``. Under ``last``'s ``min_confidence`` and
-    schema an untouched set's confidence can only fall, since its
-    antecedent's count can only grow, and every set that became frequent
-    is touched; so the sets to judge are the touched ones and the carried
-    rules still frequent. Otherwise every frequent set is judged.
+    builds no rule. ``remine`` continues only when the appended weight is
+    at least the deleted weight, so the need ``p·total`` never falls, and
+    a set no changed row holds keeps its count: it stays frequent only if
+    that count still meets the need. Every frequent set a changed row
+    holds is counted on ``v``: when the changed rows have no more subsets
+    than ``last`` has frequent sets, by counting each subset
+    (``_expand_maximal``); otherwise level-wise, by ``_apriori`` limited
+    to the sets a changed row holds. After appends alone, under
+    ``last``'s ``min_confidence`` and schema, an untouched set's
+    confidence can only fall, since its antecedent's count can only grow,
+    and every set that became frequent is touched; so the sets to judge
+    are the touched ones and the carried rules still frequent. A deleted
+    row lowers the counts of the antecedents it holds, so an untouched
+    set may become a rule: after a delete, as under a new
+    ``min_confidence`` or schema, every frequent set is judged.
     """
     p, q = threshold_ratio(last.min_support)
     need = p * v.total
-    touched = _expand_maximal(v, held, last.min_support, stats)
-    stats.support_counting_passes += bool(held)
-    if min(last.family.values(), default=0) * q >= need:
+    holders = [0] * len(v.items)  # per item: a mask over the changed rows holding it
+    for n, ids in enumerate(changed):
+        for i in ids:
+            holders[i] |= 1 << n
+    if sum(1 << len(ids) for ids in changed) <= len(last.family):
+        touched = _expand_maximal(v, changed, last.min_support, stats)
+        stats.support_counting_passes += bool(changed)
+    else:
+        touched = _apriori(v, last.min_support, stats, holders)
+    if deleted:  # a deleted row lowered the counts it held: a set a changed row holds comes only from touched
+        family = {
+            ids: count
+            for ids, count in last.family.items()
+            if count * q >= need and not reduce(and_, map(holders.__getitem__, ids))
+        }
+    elif min(last.family.values(), default=0) * q >= need:
         family = dict(last.family)  # every carried set still meets the need
     else:
         family = {ids: count for ids, count in last.family.items() if count * q >= need}
     family.update(touched)
-    if min_confidence != last.min_confidence or schema != last.schema:
+    if deleted or min_confidence != last.min_confidence or schema != last.schema:
         return family, family
     return family, [*touched, *(ids for ids in last.rules if ids in family and ids not in touched)]

@@ -312,15 +312,17 @@ class Store:
         except OSError as exc:
             raise EngineError("io-error", f"appending to {key}: {exc}") from exc
 
-    def compact(self, key: str) -> None:
-        """Rewrite the rows and quarantine logs to match the in-memory dataset."""
+    def compact(self, key: str, quarantine: bool = True) -> None:
+        """Rewrite the rows log, and unless told not to the quarantine log, to match memory."""
         ctx = self._contexts.get(key)
         if ctx is None:
             raise EngineError("unknown-key", f"no persisted application under {key!r}")
         with ctx.lock:
-            rows = ctx.dataset if ctx.dataset is not None else ()
+            logs = [(ROWS_FILE, ctx.dataset if ctx.dataset is not None else ())]
+            if quarantine:
+                logs.append((QUARANTINE_FILE, ctx.quarantine))
             try:
-                for name, kept in ((ROWS_FILE, rows), (QUARANTINE_FILE, ctx.quarantine)):
+                for name, kept in logs:
                     path = self._app_dir(key) / name
                     _atomic_write(path, _lines(r.to_dict() for r in kept))
                     self._torn_tails.pop(path, None)

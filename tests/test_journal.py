@@ -118,6 +118,25 @@ class TestWhatEachVerbWrites:
         assert fsyncs.n <= 2
         assert len(open_store(tmp_path).contexts()[key].dataset) == 5 + 300
 
+    def test_row_delete_rewrites_only_the_rows_log(self, tmp_path, served, monkeypatch):
+        engine, store, key = served
+        narrower = {"inputs": ["headphones:input:{yes,no}", "hour:input:{morning}"], "outputs": F1_OUTPUT_LITERALS}
+        assert ok(call(engine, store, "change_inputs_outputs", key, **narrower))["quarantined_rows"] == 2
+        quarantine = (tmp_path / key / "quarantine.log").read_bytes()
+        assert quarantine
+        written = []
+        atomic_write = store_module._atomic_write
+
+        def recording(path, text):
+            written.append(path.name)
+            atomic_write(path, text)
+
+        monkeypatch.setattr(store_module, "_atomic_write", recording)
+        assert ok(call(engine, store, "delete_training_data_row", key, match={"headphones": "yes"}))["deleted"] == 1
+        assert written == ["rows.log"]
+        assert (tmp_path / key / "quarantine.log").read_bytes() == quarantine
+        assert reopened(tmp_path, key) == context_fingerprint(engine.context(key))
+
 
 class TestReplay:
     def test_reopen_replays_queries_and_feedback(self, tmp_path, served):

@@ -199,27 +199,29 @@ class TestLayout:
         for rule in rules:
             assert {"volume", "mood"}.isdisjoint(rule.antecedent.union(rule.consequent).attributes())
 
+    @pytest.mark.parametrize("deleted", [0, 1, 4, 120])
     @pytest.mark.parametrize("appended", [0, 1, 5, 70])
-    def test_grown_equals_a_fresh_build(self, appended):
-        rng = random.Random(appended)
+    def test_edited_equals_a_fresh_build(self, appended, deleted):
+        rng = random.Random(f"{appended}:{deleted}")
         drawn = random_dataset(rng, max_rows=200, min_rows=200)
         rows = list(drawn)
         cut = len(rows) - appended
         while True:  # the appended rows bring no new item
-            grown = _Tidsets(Dataset(drawn.schema, rows[:cut])).grown(rows[cut:])
-            if grown is not None:
+            base = _Tidsets(Dataset(drawn.schema, rows[:cut]))
+            gone = sorted(rng.sample(range(cut), deleted))
+            edited = base.edited(gone, rows[cut:])
+            if edited is not None:
                 break
             rng.shuffle(rows)
-        fresh = _Tidsets(Dataset(drawn.schema, rows))
-        v, held = grown
-        assert (v.items, v.rows, v.classes, v.all_rows, v.total) == (
-            fresh.items,
-            fresh.rows,
-            fresh.classes,
-            fresh.all_rows,
-            fresh.total,
-        )
-        assert held == [tuple(sorted(fresh.ids[Item(*pair)] for pair in pairs)) for pairs, _ in row_pairs(rows[cut:])]
+        kept = [row for r, row in enumerate(rows[:cut]) if r not in gone] + rows[cut:]
+        fresh = _Tidsets(Dataset(drawn.schema, kept))
+        v, held = edited
+        assert v.items is base.items
+        # a deleted row may have held an item's only occurrence: the item stays, holding no row
+        assert {item: rows for item, rows in zip(v.items, v.rows) if rows} == dict(zip(fresh.items, fresh.rows))
+        assert (v.classes, v.all_rows, v.total) == (fresh.classes, fresh.all_rows, fresh.total)
+        changed = [rows[r] for r in gone] + rows[cut:]
+        assert held == [tuple(sorted(v.ids[Item(*pair)] for pair in pairs)) for pairs, _ in row_pairs(changed)]
 
 
 class TestSupportCount:
