@@ -6,11 +6,8 @@ order matches request order. A request that fails, whether the engine
 refuses it or its store write fails, leaves memory as it was before it.
 With a store, every mutation is durable before its response is written,
 in the order it was made in memory: memory is never ahead of disk.
-``_VERB_TABLE`` says what each verb writes. A snapshot is one write, so
-``generate_rules`` and ``set_generation_mode`` make one write each. Of a
-verb with two writes (an automated insert that remines, and
-``change_inputs_outputs``), a failure of the second leaves the first on
-disk.
+``Store.save`` works out each request's writes from its checkpoint, by
+the rules the ``store`` module gives with their failure cases.
 
 A request line longer than ``MAX_LINE`` bytes is answered with
 ``malformed-request`` and the rest of it is dropped.
@@ -21,11 +18,10 @@ from __future__ import annotations
 import json
 import logging
 import socketserver
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
-from .engine import AppContext, Engine, MigrationReport
+from .engine import Engine, MigrationReport
 from .errors import EngineError
 from .model import Thresholds, TrainingRow, parse_attribute_literal
 from .store import Store, open_store
@@ -149,51 +145,19 @@ def _h_ping(engine, key, params):
     return "pong"
 
 
-def _snapshot(store: Store, ctx: AppContext, saved: AppContext) -> None:
-    store.persist_context(ctx)
-
-
-def _appended_rows(store: Store, ctx: AppContext, saved: AppContext) -> None:
-    """The rows past the checkpoint's, plus the snapshot if automated mode remined."""
-    store.append_rows(ctx.key, islice(ctx.dataset, len(saved.dataset), None))
-    if ctx.generation_epoch != saved.generation_epoch:
-        store.persist_context(ctx)
-
-
-def _compaction(store: Store, ctx: AppContext, saved: AppContext) -> None:
-    store.compact(ctx.key)
-
-
-def _rows_compaction(store: Store, ctx: AppContext, saved: AppContext) -> None:
-    """The rows log alone: deleting rows leaves the quarantine as it was."""
-    store.compact(ctx.key, quarantine=False)
-
-
-def _feedback(store: Store, ctx: AppContext, saved: AppContext) -> None:
-    store.record_feedback(ctx, saved.last_gco.rule_id)
-
-
-def _migration(store: Store, ctx: AppContext, saved: AppContext) -> None:
-    store.persist_context(ctx)
-    store.compact(ctx.key)
-
-
-# Each verb's handler, and what a keyed verb writes once the engine has
-# applied it, given the context and its checkpoint from before the
-# request. A keyless verb has no write.
-_VERB_TABLE: dict[str, tuple[Callable, Optional[Callable[[Store, AppContext, AppContext], None]]]] = {
-    "register_app": (_h_register_app, None),
-    "set_input_output": (_h_set_input_output, _snapshot),
-    "load_training_data": (_h_load_training_data, _appended_rows),
-    "set_training_data_row": (_h_set_training_data_row, _appended_rows),
-    "generate_rules": (_h_generate_rules, _snapshot),
-    "set_generation_mode": (_h_set_generation_mode, _snapshot),
-    "get_current_output": (_h_get_current_output, lambda store, ctx, saved: store.record_gco(ctx)),
-    "send_feedback_last_gco": (_h_send_feedback_last_gco, _feedback),
-    "delete_training_data": (_h_delete_training_data, _compaction),
-    "delete_training_data_row": (_h_delete_training_data_row, _rows_compaction),
-    "change_inputs_outputs": (_h_change_inputs_outputs, _migration),
-    "ping": (_h_ping, None),
+_VERB_TABLE: dict[str, Callable] = {
+    "register_app": _h_register_app,
+    "set_input_output": _h_set_input_output,
+    "load_training_data": _h_load_training_data,
+    "set_training_data_row": _h_set_training_data_row,
+    "generate_rules": _h_generate_rules,
+    "set_generation_mode": _h_set_generation_mode,
+    "get_current_output": _h_get_current_output,
+    "send_feedback_last_gco": _h_send_feedback_last_gco,
+    "delete_training_data": _h_delete_training_data,
+    "delete_training_data_row": _h_delete_training_data_row,
+    "change_inputs_outputs": _h_change_inputs_outputs,
+    "ping": _h_ping,
 }
 VERBS = tuple(_VERB_TABLE)
 
@@ -202,8 +166,8 @@ def dispatch(request: object, engine: Engine, store: Optional[Store] = None) -> 
     """Execute one wire request and build the response object.
 
     A keyed verb runs under the context's lock from a checkpoint, then,
-    with a store, its write in ``_VERB_TABLE``; if either fails, the
-    checkpoint is restored, with or without a store. A ``register_app``
+    with a store, ``Store.save`` writes what it changed; if either fails,
+    the checkpoint is restored, with or without a store. A ``register_app``
     whose snapshot fails drops the new application.
     """
     rid = request.get("id") if isinstance(request, Mapping) else None
@@ -219,9 +183,8 @@ def dispatch(request: object, engine: Engine, store: Optional[Store] = None) -> 
         if not isinstance(params, Mapping):
             raise EngineError("malformed-params", "params must be an object")
         key = request.get("key")
-        handler, write = _VERB_TABLE[verb]
-        if write is None:
-            result = handler(engine, key, params)
+        if verb in ("register_app", "ping"):
+            result = _VERB_TABLE[verb](engine, key, params)
             if verb == "register_app" and store is not None:
                 try:
                     store.persist_context(engine.context(result["key"]))
@@ -235,9 +198,9 @@ def dispatch(request: object, engine: Engine, store: Optional[Store] = None) -> 
             with ctx.lock:
                 saved = ctx.checkpoint()
                 try:
-                    result = handler(engine, key, params)
+                    result = _VERB_TABLE[verb](engine, key, params)
                     if store is not None:
-                        write(store, ctx, saved)
+                        store.save(ctx, saved)
                 except BaseException:
                     ctx.restore(saved)
                     raise

@@ -9,13 +9,13 @@ proceed concurrently.
 query holds that comes first in ``_match_order``: highest confidence,
 then support, then longest antecedent, then identity. A generation of
 rules (one ``generation_epoch``) keeps every rule at its position in
-``ctx.rules``; feedback replaces a rule in place and never reorders the
-list. A mined generation is stored in match order, so the list order
-does the ranking: the first active, unmoved match in the list is only
-compared with the matching rules feedback may have moved out of order.
-Those positions are kept as a mask, which the snapshot saves and a
-restore reads back. The first query of a generation scans the list
-until that match. Later queries use a bitmask index over rule positions
+``ctx.rules``; feedback replaces a rule at its position and never
+reorders them. A mined generation is stored in match order, so the
+list order does the ranking: the first active, unmoved match in the
+list is only compared with the matching rules feedback may have moved
+out of order. Those positions are kept as a mask, which the snapshot
+saves and a restore reads back. The first query of a generation scans
+the list until that match. Later queries use a bitmask index over rule positions
 (Zaki's vertical tidsets, applied to rules): per attribute, the rules
 leaving it unbound and, per value, the rules binding it to that value.
 Building the index costs several scans, so a generation queried once is
@@ -280,22 +280,20 @@ class AppContext:
         return self._index.position(self.rules, rule_id)
 
     def set_rule(self, position: int, rule: Rule) -> None:
-        """Put ``rule``, which keeps the antecedent and identity of the one there, at ``position``."""
-        self.rules[position] = rule
+        """Put ``rule``, which keeps the antecedent and identity of the one there, at ``position``, in a new list."""
+        self.rules = [*self.rules[:position], rule, *self.rules[position + 1 :]]
         self.moved |= 1 << position
 
     def checkpoint(self) -> "AppContext":
-        """A copy of this context for ``restore``.
+        """A copy of this context for ``restore``, and for ``Store.save`` to compare by ``is``.
 
-        The lists a request changes in place (rules, quarantine and the
-        dataset's rows) are copied; every other slot is shared, because
-        requests replace those values and never change them, or, for the
-        index, only cache what the generation's rules determine.
+        Only the dataset's rows, which inserts extend in place, are copied.
+        Every other slot is shared, since requests replace those values and
+        never change them (``set_rule`` and a migration replace whole lists),
+        and the index caches only what the generation's rules determine.
         """
         saved = object.__new__(AppContext)
         saved.restore(self)  # shares every slot
-        saved.rules = list(self.rules)
-        saved.quarantine = list(self.quarantine)
         if self.dataset is not None:
             saved.dataset = Dataset.restore(self.dataset.schema, self.dataset)
         return saved
@@ -629,7 +627,7 @@ class Engine:
                     retained.append(migrated)
             ctx.schema = new_schema
             ctx.dataset = Dataset.restore(new_schema, retained)
-            ctx.quarantine.extend(quarantined)
+            ctx.quarantine = ctx.quarantine + quarantined
             ctx.new_generation([])
             ctx.rules_generated = False
             return MigrationReport(len(dropped), len(quarantined))

@@ -17,6 +17,18 @@ Layout per key:
   ``last_gco``. Every record carries the ``generation_epoch`` it was
   written under.
 
+``Store.save`` derives a request's writes from its context and
+checkpoint, in order: the rows appended past the checkpoint's; a
+snapshot if the schema, mode, generation config, ``rules_generated`` or
+epoch changed, else a ``feedback`` record per ``moved`` position whose
+rule object was replaced (a verdict may leave an equal rule); a ``gco``
+record if nothing else is written, so every request writes once at
+least; last, ``rows.log`` if the rows changed otherwise and
+``quarantine.log`` if its list was replaced. If a write fails, the
+earlier ones are undone from the checkpoint (appended rows cut off, its
+snapshot or rows written back); a crash between two writes still leaves
+the first on disk.
+
 An append writes its whole batch in one write and one fsync before it
 returns; if that fails, the file is cut back to where it was. Writing a
 snapshot empties the journal afterwards. That truncation needs no fsync
@@ -81,8 +93,8 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _append(path: Path, text: str) -> None:
-    """Append in one write and one fsync; on failure cut the file back."""
+def _append(path: Path, text: str) -> int:
+    """Append in one write and one fsync, and return the length before; on failure cut the file back."""
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
     try:
         end = os.fstat(fd).st_size
@@ -97,10 +109,11 @@ def _append(path: Path, text: str) -> None:
             raise
     finally:
         os.close(fd)
+    return end
 
 
-def _lines(objects: Iterable[dict]) -> str:
-    return "".join(json.dumps(obj) + "\n" for obj in objects)
+def _lines(rows: Iterable[TrainingRow]) -> str:
+    return "".join(json.dumps(row.to_dict()) + "\n" for row in rows)
 
 
 def _size(path: Path) -> int:
@@ -235,8 +248,53 @@ class Store:
     def _app_dir(self, key: str) -> Path:
         return self.root / key
 
+    def save(self, ctx: AppContext, saved: AppContext) -> None:
+        """Make durable what a request changed in ``ctx`` since ``saved``, its checkpoint, by the module's rules."""
+        snapshotted = lambda c: (c.schema, c.mode, c.config, c.rules_generated, c.generation_epoch)
+        undo: list[Callable[[], None]] = []  # for each write made, what puts its file back
+        with ctx.lock:
+            old = saved.dataset.rows if saved.dataset is not None else ()
+            new = ctx.dataset.rows if ctx.dataset is not None else ()
+            appended = new[len(old) :] if new[: len(old)] == old else None
+            new_quarantine = ctx.quarantine is not saved.quarantine
+            try:
+                if appended:
+                    end = self._append_log(ctx.key, ROWS_FILE, _lines(appended))
+                    undo.append(lambda: os.truncate(self._app_dir(ctx.key) / ROWS_FILE, end))
+                if snapshotted(ctx) != snapshotted(saved):
+                    self.persist_context(ctx)
+                    undo.append(lambda: self._write_snapshot(saved))
+                elif ctx.rules is not saved.rules:
+                    moved = ctx.moved
+                    while moved:
+                        position = (moved & -moved).bit_length() - 1
+                        moved &= moved - 1
+                        rule = ctx.rules[position]
+                        if rule is not saved.rules[position]:  # by ``is``: feedback may leave an equal rule
+                            change = {"rule": rule.identity, "confidence": rule.confidence, "active": rule.active}
+                            self._record(ctx, {"op": "feedback", **change})
+                            undo.append(lambda: self._write_snapshot(saved))
+                if not (undo or appended is None or new_quarantine):
+                    self.record_gco(ctx)
+                if appended is None:
+                    self._replace_log(ctx.key, ROWS_FILE, new)
+                    undo.append(lambda: self._replace_log(ctx.key, ROWS_FILE, old))
+                if new_quarantine:
+                    self._replace_log(ctx.key, QUARANTINE_FILE, ctx.quarantine)
+            except BaseException:
+                for step in reversed(undo):
+                    try:
+                        step()
+                    except (OSError, EngineError) as exc:
+                        logger.warning("could not roll back a write of %s: %s", ctx.key, exc)
+                raise
+
     def persist_context(self, ctx: AppContext) -> None:
-        """Write the snapshot, then empty the journal; rows are left untouched."""
+        """Write the snapshot, then empty the journal, and track ``ctx`` under its key; rows are left untouched."""
+        self._write_snapshot(ctx)
+        self._contexts[ctx.key] = ctx
+
+    def _write_snapshot(self, ctx: AppContext) -> None:
         app_dir = self._app_dir(ctx.key)
         with ctx.lock:
             state = ctx.state_dict()
@@ -255,29 +313,16 @@ class Store:
                     shutil.rmtree(app_dir, ignore_errors=True)
                 raise EngineError("io-error", f"persisting {ctx.key}: {exc}") from exc
             self._journal_room[ctx.key] = len(text)
-            self._contexts[ctx.key] = ctx
 
     def record_gco(self, ctx: AppContext) -> None:
         """Make ``ctx.last_gco`` durable."""
         last = ctx.last_gco.to_dict() if ctx.last_gco is not None else None
         self._record(ctx, {"op": "gco", "last_gco": last})
 
-    def record_feedback(self, ctx: AppContext, rule_id: str) -> None:
-        """Make the feedback-adjusted rule ``rule_id``, and the cleared ``last_gco``, durable."""
-        with ctx.lock:
-            rule = ctx.rules[ctx.rule_position(rule_id)]
-            self._record(
-                ctx,
-                {"op": "feedback", "rule": rule_id, "confidence": rule.confidence, "active": rule.active},
-            )
-
     def _record(self, ctx: AppContext, record: dict) -> None:
         with ctx.lock:
             line = json.dumps({"generation_epoch": ctx.generation_epoch, **record}) + "\n"
-            try:
-                self._append_log(self._app_dir(ctx.key) / JOURNAL_FILE, line)
-            except OSError as exc:
-                raise EngineError("io-error", f"journaling {ctx.key}: {exc}") from exc
+            self._append_log(ctx.key, JOURNAL_FILE, line)
             room = self._journal_room.get(ctx.key, 0) - len(line)
             self._journal_room[ctx.key] = room
             if room < 0:
@@ -287,47 +332,41 @@ class Store:
                 except EngineError as exc:
                     logger.warning("could not fold the journal of %s: %s", ctx.key, exc)
 
-    def _append_log(self, path: Path, text: str) -> None:
-        """Append to a log of this store, first cutting a torn tail found on open."""
-        intact = self._torn_tails.get(path)
-        if intact is not None:
-            os.truncate(path, intact)
-            del self._torn_tails[path]
-        _append(path, text)
-
     def append_row(self, key: str, row: TrainingRow) -> None:
         """Append one record to the rows log, flushed and fsynced before return."""
-        self.append_rows(key, [row])
-
-    def append_rows(self, key: str, rows: Iterable[TrainingRow]) -> None:
-        """Append rows to the rows log in one write and one fsync."""
-        app_dir = self._app_dir(key)
-        if key not in self._contexts or not app_dir.is_dir():
+        if key not in self._contexts or not self._app_dir(key).is_dir():
             raise EngineError("unknown-key", f"no persisted application under {key!r}")
-        text = _lines(r.to_dict() for r in rows)
-        if not text:
-            return
-        try:
-            self._append_log(app_dir / ROWS_FILE, text)
-        except OSError as exc:
-            raise EngineError("io-error", f"appending to {key}: {exc}") from exc
+        self._append_log(key, ROWS_FILE, _lines([row]))
 
-    def compact(self, key: str, quarantine: bool = True) -> None:
-        """Rewrite the rows log, and unless told not to the quarantine log, to match memory."""
+    def compact(self, key: str) -> None:
+        """Rewrite the rows log and the quarantine log to match memory."""
         ctx = self._contexts.get(key)
         if ctx is None:
             raise EngineError("unknown-key", f"no persisted application under {key!r}")
         with ctx.lock:
-            logs = [(ROWS_FILE, ctx.dataset if ctx.dataset is not None else ())]
-            if quarantine:
-                logs.append((QUARANTINE_FILE, ctx.quarantine))
-            try:
-                for name, kept in logs:
-                    path = self._app_dir(key) / name
-                    _atomic_write(path, _lines(r.to_dict() for r in kept))
-                    self._torn_tails.pop(path, None)
-            except OSError as exc:
-                raise EngineError("io-error", f"compacting {key}: {exc}") from exc
+            self._replace_log(key, ROWS_FILE, ctx.dataset if ctx.dataset is not None else ())
+            self._replace_log(key, QUARANTINE_FILE, ctx.quarantine)
+
+    def _append_log(self, key: str, name: str, text: str) -> int:
+        """``_append`` to a log of this store, first cutting a torn tail found on open; a failure is ``io-error``."""
+        path = self._app_dir(key) / name
+        try:
+            intact = self._torn_tails.get(path)
+            if intact is not None:
+                os.truncate(path, intact)
+                del self._torn_tails[path]
+            return _append(path, text)
+        except OSError as exc:
+            raise EngineError("io-error", f"appending to {path}: {exc}") from exc
+
+    def _replace_log(self, key: str, name: str, rows: Iterable[TrainingRow]) -> None:
+        """Replace a log of this store, and with it a torn tail found on open; a failure is ``io-error``."""
+        path = self._app_dir(key) / name
+        try:
+            _atomic_write(path, _lines(rows))
+        except OSError as exc:
+            raise EngineError("io-error", f"replacing {path}: {exc}") from exc
+        self._torn_tails.pop(path, None)
 
 
 def open_store(root: Union[str, Path]) -> Store:

@@ -329,6 +329,44 @@ class TestFailedWrites:
         assert engine.context(key).generation_epoch == epoch
         assert context_fingerprint(open_store(tmp_path).contexts()[key]) == before
 
+    def test_failed_snapshot_of_an_automated_insert_cuts_the_rows_back(self, tmp_path, engine, stored, monkeypatch):
+        """The appended row is cut off again; a crash between the two writes still leaves it on disk."""
+        store, apps = stored
+        key = apps["trained"]
+        must_ok(call(engine, "set_generation_mode", key, store=store, mode="automated"))
+        before, before_states = fingerprints(engine.contexts()), states(engine.contexts())
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "_atomic_write", no_space)
+            must_err(call(engine, "set_training_data_row", key, store=store, row=F1_ROW_DICTS[2]), "io-error")
+        assert (fingerprints(engine.contexts()), states(engine.contexts())) == (before, before_states)
+        reopened = open_store(tmp_path).contexts().values()
+        assert (fingerprints(reopened), states(reopened)) == (before, before_states)
+        must_ok(call(engine, "set_training_data_row", key, store=store, row=F1_ROW_DICTS[2]))
+        assert len(open_store(tmp_path).contexts()[key].dataset) == len(engine.context(key).dataset) == 6
+
+    def test_failed_compaction_of_a_migration_writes_the_snapshot_back(self, tmp_path, engine, stored, monkeypatch):
+        """The old snapshot is written back; a crash between the two writes still leaves the new one on disk."""
+        store, apps = stored
+        key = apps["trained"]
+        before, before_states = fingerprints(engine.contexts()), states(engine.contexts())
+        real = store_module._atomic_write
+
+        def fail_rows(path, text):
+            if path.name == "rows.log":
+                no_space()
+            real(path, text)
+
+        narrower = {"inputs": ["headphones:input:{yes,no}"], "outputs": F1_OUTPUT_LITERALS}
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "_atomic_write", fail_rows)
+            must_err(call(engine, "change_inputs_outputs", key, store=store, **narrower), "io-error")
+        assert (fingerprints(engine.contexts()), states(engine.contexts())) == (before, before_states)
+        reopened = open_store(tmp_path).contexts().values()
+        assert (fingerprints(reopened), states(reopened)) == (before, before_states)
+        assert store.contexts()[key] is engine.context(key)
+        must_ok(call(engine, "change_inputs_outputs", key, store=store, **narrower))
+        assert fingerprints(open_store(tmp_path).contexts().values()) == fingerprints(engine.contexts())
+
     @pytest.mark.parametrize("failing", ["meta.json"])
     def test_failed_registration_frees_the_name_and_leaves_no_directory(
         self, tmp_path, engine, monkeypatch, failing

@@ -138,6 +138,79 @@ class TestWhatEachVerbWrites:
         assert reopened(tmp_path, key) == context_fingerprint(engine.context(key))
 
 
+def log_bytes(app_dir):
+    """The bytes of each file a request could rewrite, or None where it is missing."""
+    names = ("meta.json", "rows.log", "quarantine.log")
+    return {name: (app_dir / name).read_bytes() if (app_dir / name).exists() else None for name in names}
+
+
+def journal_ops(app_dir):
+    return [json.loads(line)["op"] for line in (app_dir / "journal.log").read_text().splitlines()]
+
+
+NO_CHANGE = {
+    "set_generation_mode": {"mode": "manual"},
+    "delete_training_data_row": {"match": {"headphones": None}},
+    "load_training_data": {"rows": []},
+}
+
+
+class TestRequestsThatChangeNothing:
+    @pytest.mark.parametrize("verb", list(NO_CHANGE))
+    def test_writes_one_gco_record_and_leaves_the_rest(self, tmp_path, served, monkeypatch, verb):
+        engine, store, key = served
+        app_dir = tmp_path / key
+        ok(call(engine, store, "get_current_output", key, inputs=MATCHING))
+        before = log_bytes(app_dir)
+        ops = journal_ops(app_dir)
+        fsyncs = FsyncCount(monkeypatch)
+        ok(call(engine, store, verb, key, **NO_CHANGE[verb]))
+        assert fsyncs.n == 1
+        assert journal_ops(app_dir) == ops + ["gco"]
+        assert log_bytes(app_dir) == before
+        assert reopened(tmp_path, key) == context_fingerprint(engine.context(key))
+
+    @pytest.mark.parametrize("verb", list(NO_CHANGE))
+    def test_a_failed_record_answers_io_error(self, tmp_path, served, monkeypatch, verb):
+        engine, store, key = served
+        ok(call(engine, store, "get_current_output", key, inputs=MATCHING))
+        ctx = engine.context(key)
+        before = (context_fingerprint(ctx), ctx.state_dict())
+
+        def no_space(path, text):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(store_module, "_append", no_space)
+        response = call(engine, store, verb, key, **NO_CHANGE[verb])
+        assert response["error"]["code"] == "io-error"
+        assert (context_fingerprint(ctx), ctx.state_dict()) == before
+
+
+class TestFeedbackThatLeavesAnEqualRule:
+    """Feedback is found by the replaced rule object, never by a changed value."""
+
+    def test_a_positive_verdict_on_a_certain_rule_is_journaled(self, tmp_path, served):
+        engine, store, key = served
+        assert ok(call(engine, store, "get_current_output", key, inputs=MATCHING))["confidence"] == 1.0
+        assert engine.context(key).moved == 0
+        ok(call(engine, store, "send_feedback_last_gco", key, verdict="positive"))
+        assert engine.context(key).moved != 0
+        assert journal_ops(tmp_path / key)[-1] == "feedback"
+        assert open_store(tmp_path).contexts()[key].state_dict() == engine.context(key).state_dict()
+
+    def test_a_second_verdict_on_a_moved_rule_is_journaled(self, tmp_path, served):
+        engine, store, key = served
+        matched = set()
+        for _ in range(2):
+            matched.add(ok(call(engine, store, "get_current_output", key, inputs={"headphones": "no"}))["rule_id"])
+            ok(call(engine, store, "send_feedback_last_gco", key, verdict="negative"))
+        assert len(matched) == 1
+        assert journal_ops(tmp_path / key).count("feedback") == 2
+        reopened_ctx = open_store(tmp_path).contexts()[key]
+        assert reopened_ctx.state_dict() == engine.context(key).state_dict()
+        assert context_fingerprint(reopened_ctx) == context_fingerprint(engine.context(key))
+
+
 class TestReplay:
     def test_reopen_replays_queries_and_feedback(self, tmp_path, served):
         engine, store, key = served
